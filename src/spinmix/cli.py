@@ -94,7 +94,15 @@ def _pmf_csv(pmf: CountPmf, empirical: CountPmf | None) -> str:
     return buf.getvalue()
 
 
+def _check_sampling(args) -> None:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+
+
 def _pmf_output(args, payload: dict, spec, pmf, axis) -> str:
+    _check_sampling(args)
     mean, variance = pmf_moments(pmf)
     empirical = None
     if args.trials > 0:
@@ -153,6 +161,7 @@ def cmd_urn(args) -> str:
 
 
 def cmd_distinguish(args) -> str:
+    _check_sampling(args)
     a = parse_ensemble(args.a, args.n)
     b = parse_ensemble(args.b, args.n)
     if a.n != b.n:
@@ -199,7 +208,8 @@ def _add_common(sub, *, trials: bool = True) -> None:
     if trials:
         sub.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = exact only)")
         sub.add_argument("--seed", type=int, default=0, help="master seed for Monte Carlo streams")
-        sub.add_argument("--workers", type=int, default=1, help="threads for Monte Carlo trials")
+        sub.add_argument("--workers", type=int, default=1,
+                         help="threads for Monte Carlo blocks (at most the CPU count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--format", choices=["json"], default="json", help="output format")
     dist.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = exact only)")
     dist.add_argument("--seed", type=int, default=0, help="master seed for Monte Carlo streams")
-    dist.add_argument("--workers", type=int, default=1, help="threads for Monte Carlo trials")
+    dist.add_argument("--workers", type=int, default=1,
+                      help="threads for Monte Carlo blocks (at most the CPU count)")
     dist.set_defaults(func=cmd_distinguish)
     return parser
 
@@ -261,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

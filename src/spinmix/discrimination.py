@@ -8,7 +8,6 @@ with a Monte Carlo estimate of the latter for validation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 
@@ -21,13 +20,7 @@ from .ensembles import (
     total_variation,
 )
 from .linalg import PARTICLE_CAP, trace_distance
-from .measurement import (
-    _chunk_bounds,
-    exact_count_pmf,
-    measure_realization,
-    sample_realization,
-    trial_stream,
-)
+from .measurement import born_weights, exact_count_pmf, measure_block, run_blocks
 from .spin import Axis
 
 
@@ -96,44 +89,25 @@ def monte_carlo_discrimination(
 ) -> MonteCarloEstimate:
     """Simulated equal-prior discrimination on the count statistic.
 
-    Per trial: a fair coin from the trial's stream picks the true ensemble,
-    one full experiment runs, and the guess is the spec whose exact pmf puts
-    more mass on the observed count, ties broken toward `a`.
+    Per block of trials: a fair coin per trial picks the true ensemble, then
+    the full experiments of the a-trials and of the b-trials run, all on the
+    block's stream.  The guess is the spec whose exact pmf puts more mass on
+    the observed count, ties broken toward `a`.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if a.n != b.n:
         raise ValueError(f"ensembles differ in n: {a.n} vs {b.n}")
     pa = exact_count_pmf(a, axis).probabilities
     pb = exact_count_pmf(b, axis).probabilities
     guess_is_a = pa >= pb
-    labels = (ensemble_literal(a), ensemble_literal(b))
+    born_a, born_b = born_weights(a, axis), born_weights(b, axis)
 
-    def run_range(bounds: tuple[int, int]) -> int:
-        lo, hi = bounds
-        successes = 0
-        for i in range(lo, hi):
-            rng = trial_stream(master_seed, i)
-            truth_is_a = rng.random() < 0.5
-            spec = a if truth_is_a else b
-            realization = sample_realization(spec, rng)
-            record = measure_realization(
-                realization,
-                axis,
-                rng,
-                seed=master_seed,
-                trial=i,
-                ensemble=labels[0] if truth_is_a else labels[1],
-            )
-            if bool(guess_is_a[record.plus_count]) == truth_is_a:
-                successes += 1
-        return successes
+    def draw(rng: np.random.Generator, first: int, rows: int) -> int:
+        rows_a = int((rng.random(rows) < 0.5).sum())
+        counts_a = measure_block(a, born_a, rng, rows_a).sum(axis=1)
+        counts_b = measure_block(b, born_b, rng, rows - rows_a).sum(axis=1)
+        return int(guess_is_a[counts_a].sum()) + int((~guess_is_a[counts_b]).sum())
 
-    if workers <= 1:
-        successes = run_range((0, trials))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(run_range, _chunk_bounds(trials, workers)))
+    successes = sum(run_blocks(a.n, trials, master_seed, draw, workers=workers))
     rate = successes / trials
     return MonteCarloEstimate(rate, sqrt(rate * (1.0 - rate) / trials), trials)
 

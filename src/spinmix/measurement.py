@@ -3,19 +3,26 @@ along a single global axis, and collect the +1-outcome count.
 
 Randomness contract
 -------------------
-Each Monte Carlo trial draws from its own stream,
-``trial_stream(master_seed, i)``: a Philox4x64 counter-based generator keyed
-by the (master seed, trial index) pair.  Distinct keys give statistically
-independent streams and the derivation is deterministic, so replaying a
-master seed reproduces every record bitwise and any execution order —
-including the thread-pool split used when ``workers > 1`` — yields the
-identical list of records.
+Monte Carlo trials run in blocks of B = ``block_size(n)`` = max(1, 2**16 // n)
+consecutive trials, so one block's arrays hold at most 2**16 particles (or
+one realization, when n exceeds that).  Block b covers trials b·B to
+b·B + B - 1 and draws from its own stream, ``trial_stream(master_seed, b)``:
+a Philox4x64 counter-based generator keyed by the (master seed, block index)
+pair.  Within a block, every trial's realization is drawn first, in trial
+order, and then one uniform per particle decides its outcome; discrimination
+draws the block's coin flips first, then runs its a-trials and its b-trials
+that way.  Distinct keys give statistically independent streams and B
+depends only on n, so replaying a master seed reproduces every record
+bitwise, and any execution order — including the thread pool used when
+``workers > 1``, which hands out whole blocks — yields identical results.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -29,15 +36,24 @@ from .ensembles import (
 from .spin import Axis, PureState, transition_probability
 
 _SEED_LIMIT = 2**64
+_BLOCK_PARTICLES = 2**16
+
+T = TypeVar("T")
 
 
 def trial_stream(master_seed: int, trial: int) -> np.random.Generator:
-    """Independent, reproducible stream for one trial."""
+    """Independent, reproducible stream for one block of trials; `trial` is
+    the block index (see the module's randomness contract)."""
     if not 0 <= master_seed < _SEED_LIMIT:
         raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
     if trial < 0:
-        raise ValueError(f"trial index must be nonnegative, got {trial}")
+        raise ValueError(f"block index must be nonnegative, got {trial}")
     return np.random.Generator(np.random.Philox(key=[master_seed, trial]))
+
+
+def block_size(n: int) -> int:
+    """Trials per block for ensembles of n particles."""
+    return max(1, _BLOCK_PARTICLES // n)
 
 
 @dataclass(frozen=True)
@@ -67,18 +83,85 @@ class ExperimentRecord:
             raise ValueError("plus_count does not match the outcomes")
 
 
+def _draw_types(spec: EnsembleSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Component index of every particle in `rows` realizations, shape (rows, n).
+
+    Fixed composition: each row is its exact multiset in uniformly random
+    order, so ordered outcomes keep the exchangeable without-replacement law.
+    I.i.d. mixture: each particle's component by inverse CDF of a uniform.
+    """
+    if isinstance(spec, FixedComposition):
+        pool = np.repeat(np.arange(len(spec.components)), [c for _, c in spec.components])
+        types = np.tile(pool, (rows, 1))
+        return rng.permuted(types, axis=1, out=types)
+    cdf = np.cumsum([p for _, p in spec.components])
+    return np.searchsorted(cdf[:-1], rng.random((rows, spec.n)), side="right")
+
+
+def _draw_hits(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
+    """One Bernoulli per particle against its Born weight; True means +1."""
+    return rng.random(weights.shape) < weights
+
+
+def _records(
+    hits: np.ndarray, first_trial: int, seed: int, ensemble: str, axis: Axis
+) -> list[ExperimentRecord]:
+    counts = hits.sum(axis=1).tolist()
+    return [
+        ExperimentRecord(seed, first_trial + r, ensemble, axis, tuple(row), counts[r])
+        for r, row in enumerate(np.where(hits, 1, -1).tolist())
+    ]
+
+
+def born_weights(spec: EnsembleSpec, axis: Axis) -> np.ndarray:
+    """Born weight of a +1 outcome along `axis` for each component."""
+    return np.array([transition_probability(state, axis, +1) for state, _ in spec.components])
+
+
+def measure_block(
+    spec: EnsembleSpec, born: np.ndarray, rng: np.random.Generator, rows: int
+) -> np.ndarray:
+    """Outcomes of `rows` full experiments (fresh realization, then
+    measurement), shape (rows, n), True for +1; `born` is born_weights(spec, axis)."""
+    return _draw_hits(rng, born[_draw_types(spec, rng, rows)])
+
+
+def run_blocks(
+    n: int,
+    trials: int,
+    master_seed: int,
+    draw: Callable[[np.random.Generator, int, int], T],
+    *,
+    workers: int = 1,
+) -> list[T]:
+    """``draw(stream, first_trial, rows)`` for every block of `trials`, in block order.
+
+    Block b covers trials b·B to b·B + B - 1, with B = block_size(n), and
+    draws from trial_stream(master_seed, b).  With ``workers > 1`` whole
+    blocks go to a pool of at most min(workers, CPU count, blocks) threads.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    size = block_size(n)
+    starts = range(0, trials, size)
+
+    def run(lo: int) -> T:
+        return draw(trial_stream(master_seed, lo // size), lo, min(size, trials - lo))
+
+    threads = min(workers, os.cpu_count() or 1, len(starts))
+    if threads == 1:
+        return [run(lo) for lo in starts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, starts))
+
+
 def sample_realization(spec: EnsembleSpec, rng: np.random.Generator) -> Realization:
     """Fixed composition: its exact multiset in uniformly random order.
     I.i.d. mixture: n independent component draws."""
-    if isinstance(spec, FixedComposition):
-        pool: list[PureState] = []
-        for state, count in spec.components:
-            pool.extend([state] * count)
-        order = rng.permutation(len(pool))
-        return Realization(tuple(pool[i] for i in order))
-    probs = np.array([p for _, p in spec.components])
-    draws = rng.choice(len(spec.components), size=spec.n, p=probs)
-    return Realization(tuple(spec.components[i][0] for i in draws))
+    states = [state for state, _ in spec.components]
+    return Realization(tuple(states[i] for i in _draw_types(spec, rng, 1)[0]))
 
 
 def measure_realization(
@@ -101,17 +184,8 @@ def measure_realization(
         key = id(state)
         if key not in born:
             born[key] = transition_probability(state, axis, +1)
-    weights = np.array([born[id(s)] for s in realization.states])
-    hits = rng.random(len(weights)) < weights
-    outcomes = tuple(1 if h else -1 for h in hits)
-    return ExperimentRecord(
-        seed=seed,
-        trial=trial,
-        ensemble=ensemble,
-        axis=axis,
-        outcomes=outcomes,
-        plus_count=int(hits.sum()),
-    )
+    weights = np.array([[born[id(s)] for s in realization.states]])
+    return _records(_draw_hits(rng, weights), trial, seed, ensemble, axis)[0]
 
 
 def exact_count_pmf(spec: EnsembleSpec, axis: Axis) -> CountPmf:
@@ -122,15 +196,13 @@ def exact_count_pmf(spec: EnsembleSpec, axis: Axis) -> CountPmf:
     the fixed multiset.  I.i.d. mixture: Binomial(n, Σ p·q), since each
     draw-and-measure is one Bernoulli trial with the averaged weight.
     """
+    born = born_weights(spec, axis).tolist()
     if isinstance(spec, FixedComposition):
         pmf = np.array([1.0])
-        for state, count in spec.components:
-            q = transition_probability(state, axis, +1)
+        for (_, count), q in zip(spec.components, born):
             pmf = np.convolve(pmf, binomial_pmf(count, q).probabilities)
         return CountPmf(spec.n, pmf)
-    q_bar = 0.0
-    for state, p in spec.components:
-        q_bar += p * transition_probability(state, axis, +1)
+    q_bar = sum(p * q for (_, p), q in zip(spec.components, born))
     return binomial_pmf(spec.n, min(1.0, max(0.0, q_bar)))
 
 
@@ -140,11 +212,6 @@ def pmf_moments(pmf: CountPmf) -> tuple[float, float]:
     mean = float(counts @ pmf.probabilities)
     variance = float(((counts - mean) ** 2) @ pmf.probabilities)
     return mean, variance
-
-
-def _chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
-    per = (trials + workers - 1) // workers
-    return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
 def run_experiments(
@@ -157,32 +224,18 @@ def run_experiments(
 ) -> list[ExperimentRecord]:
     """One full experiment (fresh realization, then measurement) per trial.
 
-    Trial i runs entirely on trial_stream(master_seed, i), so the returned
-    list is identical whether the range is executed sequentially or split
-    across a thread pool with ``workers > 1``.
+    The records come from the same block arrays as monte_carlo_count_pmf,
+    so their plus_count histogram is trials × that pmf for the same seed,
+    and the list is identical for every `workers`.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    born = born_weights(spec, axis)
     label = ensemble_literal(spec)
 
-    def run_range(bounds: tuple[int, int]) -> list[ExperimentRecord]:
-        lo, hi = bounds
-        out = []
-        for i in range(lo, hi):
-            rng = trial_stream(master_seed, i)
-            realization = sample_realization(spec, rng)
-            out.append(
-                measure_realization(
-                    realization, axis, rng, seed=master_seed, trial=i, ensemble=label
-                )
-            )
-        return out
+    def draw(rng: np.random.Generator, first: int, rows: int) -> list[ExperimentRecord]:
+        return _records(measure_block(spec, born, rng, rows), first, master_seed, label, axis)
 
-    if workers <= 1:
-        return run_range((0, trials))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run_range, _chunk_bounds(trials, workers)))
-    return [record for part in parts for record in part]
+    blocks = run_blocks(spec.n, trials, master_seed, draw, workers=workers)
+    return [record for block in blocks for record in block]
 
 
 def monte_carlo_count_pmf(
@@ -194,6 +247,11 @@ def monte_carlo_count_pmf(
     workers: int = 1,
 ) -> CountPmf:
     """Empirical +1-count histogram over independent full experiments."""
-    records = run_experiments(spec, axis, trials, master_seed, workers=workers)
-    hist = np.bincount([r.plus_count for r in records], minlength=spec.n + 1)
+    born = born_weights(spec, axis)
+
+    def draw(rng: np.random.Generator, first: int, rows: int) -> np.ndarray:
+        return measure_block(spec, born, rng, rows).sum(axis=1)
+
+    counts = run_blocks(spec.n, trials, master_seed, draw, workers=workers)
+    hist = np.bincount(np.concatenate(counts), minlength=spec.n + 1)
     return CountPmf(spec.n, hist / trials)

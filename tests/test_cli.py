@@ -200,6 +200,18 @@ def test_error_paths_exit_nonzero(capsys):
     code, _, err = run_cli(capsys, "urn", "--n", "4", "--black", "9")
     assert code == 1
 
+    for argv in (
+        ["pmf", "--ensemble", "S", "--n", "4", "--trials", "-5"],
+        ["urn", "--n", "4", "--trials", "10", "--workers", "0"],
+        ["distinguish", "--a", "A", "--b", "B", "--n", "4", "--trials", "-1"],
+        ["distinguish", "--a", "A", "--b", "B", "--n", "4", "--workers", "-2"],
+        # exact binomial pmfs overflow a float at this size
+        ["pmf", "--ensemble", "S", "--n", "2000"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 def test_unknown_arguments_exit_via_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:

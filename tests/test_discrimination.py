@@ -1,10 +1,12 @@
 import pytest
 
+import spinmix.measurement as measurement
 from spinmix import (
     X_AXIS,
     Z_AXIS,
     balanced_mixture,
     bayes_success_from_counts,
+    block_size,
     build_report,
     monte_carlo_discrimination,
     pairwise_trace_distances,
@@ -93,6 +95,8 @@ def test_monte_carlo_argument_errors():
         monte_carlo_discrimination(a, a, Z_AXIS, 0, 1)
     with pytest.raises(ValueError):
         monte_carlo_discrimination(a, preset_ensemble("B", 6), Z_AXIS, 10, 1)
+    with pytest.raises(ValueError):
+        monte_carlo_discrimination(a, a, Z_AXIS, 10, 1, workers=0)
 
 
 def test_monte_carlo_parallel_matches_sequential():
@@ -101,6 +105,20 @@ def test_monte_carlo_parallel_matches_sequential():
     one = monte_carlo_discrimination(a, b, X_AXIS, 2000, 77)
     four = monte_carlo_discrimination(a, b, X_AXIS, 2000, 77, workers=4)
     assert one == four
+
+
+@pytest.mark.parametrize("trials", [5, 66, 150])
+def test_monte_carlo_does_not_depend_on_workers(monkeypatch, trials):
+    # n = 1000 gives blocks of 65 trials: fewer than one block, one block plus
+    # one trial, and a count that is not a multiple of the block size.  The
+    # CPU count is pinned so that two threads run even on a one-CPU host.
+    monkeypatch.setattr(measurement.os, "cpu_count", lambda: 2)
+    a = preset_ensemble("A", 1000)
+    b = preset_ensemble("S", 1000)
+    assert block_size(1000) == 65
+    one = monte_carlo_discrimination(a, b, X_AXIS, trials, 77)
+    two = monte_carlo_discrimination(a, b, X_AXIS, trials, 77, workers=2)
+    assert one == two
 
 
 def test_report_structure():

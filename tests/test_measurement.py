@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinmix.measurement as measurement
 from helpers import unit_axes
 from spinmix import (
     ExperimentRecord,
@@ -12,12 +13,16 @@ from spinmix import (
     Realization,
     X_AXIS,
     Z_AXIS,
+    balanced_fixed,
     balanced_mixture,
     binomial_pmf,
+    block_size,
     delta_pmf,
     exact_count_pmf,
     measure_realization,
     monte_carlo_count_pmf,
+    pair_frequencies,
+    parse_ensemble,
     pmf_moments,
     preset_ensemble,
     run_experiments,
@@ -168,6 +173,106 @@ def test_parallel_equals_sequential():
     sequential = run_experiments(spec, Z_AXIS, 1000, 9)
     parallel = run_experiments(spec, Z_AXIS, 1000, 9, workers=4)
     assert sequential == parallel
+
+
+def test_block_size_caps_block_arrays():
+    assert block_size(1) == 2**16
+    assert block_size(10) == 6553
+    assert block_size(2**15) == 2
+    assert block_size(2**15 + 1) == block_size(2**17) == 1
+
+
+@pytest.mark.parametrize("literal", ["A", "S:x", "fixed:x+*3/z-*4/(0.6,0,0.8)+*3"])
+def test_record_histogram_equals_monte_carlo_pmf(literal):
+    spec = parse_ensemble(literal, 10)
+    trials = block_size(10) + 500  # two blocks
+    records = run_experiments(spec, X_AXIS, trials, 8)
+    pmf = monte_carlo_count_pmf(spec, X_AXIS, trials, 8)
+    hist = np.bincount([r.plus_count for r in records], minlength=11)
+    assert np.array_equal(hist / trials, pmf.probabilities)
+
+
+@pytest.mark.parametrize("literal", ["A", "S"])
+@pytest.mark.parametrize("trials", [5, 17, 40])
+def test_results_do_not_depend_on_workers(monkeypatch, literal, trials):
+    # n = 4096 gives blocks of 16 trials: fewer than one block, one block plus
+    # one trial, and a count that is not a multiple of the block size.  The
+    # CPU count is pinned so that two threads run even on a one-CPU host.
+    monkeypatch.setattr(measurement.os, "cpu_count", lambda: 2)
+    spec = parse_ensemble(literal, 4096)
+    assert block_size(spec.n) == 16
+    one = run_experiments(spec, X_AXIS, trials, 3)
+    two = run_experiments(spec, X_AXIS, trials, 3, workers=2)
+    assert one == two
+    assert np.array_equal(
+        monte_carlo_count_pmf(spec, X_AXIS, trials, 3).probabilities,
+        monte_carlo_count_pmf(spec, X_AXIS, trials, 3, workers=2).probabilities,
+    )
+
+
+def test_thread_pool_is_capped_by_cpus_and_blocks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor without starting threads."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(measurement, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(measurement.os, "cpu_count", lambda: 3)
+    spec = preset_ensemble("S", 4096)
+    for blocks in (10, 2, 1):
+        monte_carlo_count_pmf(spec, Z_AXIS, 16 * blocks, 1, workers=100_000)
+    assert sizes == [3, 2]  # a single block runs without a pool
+
+
+def test_workers_below_one_are_rejected():
+    spec = preset_ensemble("S", 4)
+    with pytest.raises(ValueError, match="workers"):
+        monte_carlo_count_pmf(spec, Z_AXIS, 10, 1, workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        run_experiments(spec, Z_AXIS, 10, 1, workers=-1)
+
+
+def test_fixed_composition_outcome_pairs_follow_the_urn_law():
+    # Along x, A's outcomes reveal the particle types, so the first two
+    # outcomes are an ordered draw without replacement: unshuffled pools
+    # would put all the mass on (+1, +1).
+    records = run_experiments(preset_ensemble("A", 6), X_AXIS, 20000, 5)
+    pairs = np.array([r.outcomes[:2] for r in records])
+    parallel, antiparallel = pair_frequencies(6)
+    for first, second, p in (
+        (1, 1, parallel), (-1, -1, parallel), (1, -1, antiparallel), (-1, 1, antiparallel)
+    ):
+        freq = np.mean((pairs[:, 0] == first) & (pairs[:, 1] == second))
+        assert abs(freq - p) <= 4.0 * np.sqrt(p * (1.0 - p) / len(records))
+
+
+def test_one_trial_blocks_at_large_n():
+    n = 2**17
+    assert block_size(n) == 1
+    for spec in (balanced_fixed(n, X_AXIS), balanced_mixture(n, Z_AXIS)):
+        records = run_experiments(spec, X_AXIS, 3, 12)
+        for i, record in enumerate(records):
+            # One trial per block: trial i is the one-row call on block i's stream.
+            rng = trial_stream(12, i)
+            realization = sample_realization(spec, rng)
+            assert record == measure_realization(
+                realization, X_AXIS, rng, seed=12, trial=i, ensemble=record.ensemble
+            )
+        hist = np.bincount([r.plus_count for r in records], minlength=n + 1)
+        pmf = monte_carlo_count_pmf(spec, X_AXIS, 3, 12)
+        assert np.array_equal(hist / 3, pmf.probabilities)
 
 
 def test_headline_count_statistics():
