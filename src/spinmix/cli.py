@@ -4,14 +4,18 @@ Subcommands: rho | pmf | distinguish | urn.  All results go to stdout,
 diagnostics to stderr; exit status is 0 exactly when no error occurred.
 JSON encodes complex entries as [re, im] pairs, matrices as row-major
 nested arrays, and floats with 17 significant digits so output is
-byte-identical across reruns and parses back losslessly.
+byte-identical across reruns and parses back losslessly.  Arrays are
+written one row per `%` call from a row template built once per array.
+
+`--n` may be omitted: a fixed: literal then takes n from its counts, and
+presets, iid: literals and `--urn` use n = 10.  `rho` prints at most
+k = 10 particles (an x-basis dump at k = 10 is already about 50-100 MB of
+JSON); exact pmfs work for every n.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -31,8 +35,24 @@ from .measurement import exact_count_pmf, monte_carlo_count_pmf, pmf_moments
 from .spin import X_AXIS, Z_AXIS, axis_basis_matrix, axis_label, parse_axis
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+# Largest k whose matrices `rho` prints; the library's PARTICLE_CAP is larger.
+RHO_CAP = 10
+# Ensemble size for presets, iid: literals and --urn when --n is omitted.
+DEFAULT_N = 10
+N_HELP = f"ensemble size; if omitted, a fixed: literal's total count, else {DEFAULT_N}"
+
+
+def _array_text(a: np.ndarray) -> str:
+    """A complex matrix as rows of [re, im] cells, or a real vector.
+
+    The row template is built once and each row costs one `%` call;
+    "%.17g" prints every float exactly as format(x, ".17g") does.
+    """
+    if np.iscomplexobj(a):
+        rows = np.ascontiguousarray(a, dtype=complex).view(float)
+        template = "[" + ", ".join(["[%.17g, %.17g]"] * (rows.shape[1] // 2)) + "]"
+        return "[" + ", ".join(template % tuple(row.tolist()) for row in rows) + "]"
+    return "[" + ", ".join(["%.17g"] * a.shape[0]) % tuple(a.tolist()) + "]"
 
 
 def _json_text(value) -> str:
@@ -43,7 +63,7 @@ def _json_text(value) -> str:
     if value is False:
         return "false"
     if isinstance(value, float):
-        return _fmt_float(value)
+        return format(float(value), ".17g")
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -53,45 +73,45 @@ def _json_text(value) -> str:
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in value) + "]"
+    if isinstance(value, np.ndarray):
+        return _array_text(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _matrix_payload(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
-def _pmf_values(pmf: CountPmf) -> list[float]:
-    return [float(p) for p in pmf.probabilities]
+def _parse_spec(text: str, n: int | None):
+    """parse_ensemble, with DEFAULT_N for presets and iid: literals when n is
+    omitted; a fixed: literal then takes n from its counts."""
+    if n is None and text.partition(":")[0].strip().lower() != "fixed":
+        n = DEFAULT_N
+    return parse_ensemble(text, n)
 
 
 def cmd_rho(args) -> str:
     if args.format != "json":
         raise ValueError("--format csv is available for pmf output only")
-    spec = parse_ensemble(args.ensemble, args.n)
-    rho = reduced_density_matrix(spec, args.k, atol=args.tolerance)
+    spec = _parse_spec(args.ensemble, args.n)
+    rho = reduced_density_matrix(spec, args.k, cap=RHO_CAP, atol=args.tolerance)
     payload = {
         "command": "rho",
         "ensemble": ensemble_literal(spec),
         "n": spec.n,
         "k": args.k,
-        "matrix": _matrix_payload(rho.matrix),
+        "matrix": rho.matrix,
     }
     if args.basis == "x":
-        payload["matrix_x"] = _matrix_payload(axis_basis_matrix(rho, X_AXIS))
+        payload["matrix_x"] = axis_basis_matrix(rho, X_AXIS)
     return _json_text(payload) + "\n"
 
 
 def _pmf_csv(pmf: CountPmf, empirical: CountPmf | None) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["count", "probability"] + (["empirical"] if empirical is not None else [])
-    writer.writerow(header)
-    for m in range(pmf.n + 1):
-        row = [str(m), _fmt_float(pmf.probabilities[m])]
-        if empirical is not None:
-            row.append(_fmt_float(empirical.probabilities[m]))
-        writer.writerow(row)
-    return buf.getvalue()
+    columns = [pmf.probabilities]
+    header = "count,probability"
+    if empirical is not None:
+        columns.append(empirical.probabilities)
+        header += ",empirical"
+    row = "%d" + ",%.17g" * len(columns) + "\n"
+    table = np.column_stack(columns).tolist()
+    return header + "\n" + "".join(row % (m, *cells) for m, cells in enumerate(table))
 
 
 def _check_sampling(args) -> None:
@@ -109,11 +129,11 @@ def _pmf_output(args, payload: dict, spec, pmf, axis) -> str:
         empirical = monte_carlo_count_pmf(spec, axis, args.trials, args.seed, workers=args.workers)
     if args.format == "csv":
         return _pmf_csv(pmf, empirical)
-    payload["exact"] = _pmf_values(pmf)
+    payload["exact"] = pmf.probabilities
     payload["mean"] = mean
     payload["variance"] = variance
     if empirical is not None:
-        payload["empirical"] = _pmf_values(empirical)
+        payload["empirical"] = empirical.probabilities
         payload["trials"] = args.trials
         payload["seed"] = args.seed
     return _json_text(payload) + "\n"
@@ -121,7 +141,7 @@ def _pmf_output(args, payload: dict, spec, pmf, axis) -> str:
 
 def cmd_pmf(args) -> str:
     if args.urn:
-        spec = make_urn(args.n, args.black)
+        spec = make_urn(DEFAULT_N if args.n is None else args.n, args.black)
         pmf = urn_composition(spec)
         # Counting z+ outcomes along z is exactly counting black balls, so
         # the empirical path reuses the measurement simulation unchanged.
@@ -136,7 +156,7 @@ def cmd_pmf(args) -> str:
     else:
         if args.black is not None:
             raise ValueError("--black requires --urn")
-        spec = parse_ensemble(args.ensemble, args.n)
+        spec = _parse_spec(args.ensemble, args.n)
         axis = parse_axis(args.axis)
         pmf = exact_count_pmf(spec, axis)
         payload = {
@@ -162,8 +182,8 @@ def cmd_urn(args) -> str:
 
 def cmd_distinguish(args) -> str:
     _check_sampling(args)
-    a = parse_ensemble(args.a, args.n)
-    b = parse_ensemble(args.b, args.n)
+    a = _parse_spec(args.a, args.n)
+    b = _parse_spec(args.b, args.n)
     if a.n != b.n:
         raise ValueError(f"--a and --b differ in n: {a.n} vs {b.n}")
     axes = [parse_axis(t) for t in (args.axis or ["x", "z"])]
@@ -223,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rho = sub.add_parser("rho", help="k-particle reduced density matrix", formatter_class=fmt)
     rho.add_argument("--ensemble", default="S", help="preset A|B|S[:axis] or fixed:/iid: literal")
-    rho.add_argument("--n", type=int, default=10, help="ensemble size")
-    rho.add_argument("--k", type=int, default=2, help="number of particles kept")
+    rho.add_argument("--n", type=int, default=None, help=N_HELP)
+    rho.add_argument("--k", type=int, default=2,
+                     help=f"number of particles kept, at most {RHO_CAP}")
     rho.add_argument("--basis", choices=["z", "x"], default="z",
                      help="x additionally prints the matrix in the x product basis")
     rho.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
@@ -235,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     pmf = sub.add_parser("pmf", help="exact (and sampled) +1-count distribution",
                          formatter_class=fmt)
     pmf.add_argument("--ensemble", default="S", help="preset A|B|S[:axis] or fixed:/iid: literal")
-    pmf.add_argument("--n", type=int, default=10, help="ensemble size")
+    pmf.add_argument("--n", type=int, default=None, help=N_HELP)
     pmf.add_argument("--axis", default="z", help="measurement axis: x, y, z or ux,uy,uz")
     pmf.add_argument("--urn", action="store_true", help="classical urn composition instead")
     pmf.add_argument("--black", type=int, default=None,
@@ -255,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                           formatter_class=fmt)
     dist.add_argument("--a", required=True, help="first ensemble literal")
     dist.add_argument("--b", required=True, help="second ensemble literal")
-    dist.add_argument("--n", type=int, default=10, help="ensemble size")
+    dist.add_argument("--n", type=int, default=None, help=N_HELP)
     dist.add_argument("--kmax", type=int, default=2, help="largest k for trace distances")
     dist.add_argument("--axis", action="append", default=None,
                       help="measurement axis (repeatable; default: x and z)")

@@ -29,6 +29,7 @@ from .linalg import ATOL_ALGEBRA, PARTICLE_CAP, DensityMatrix, kron
 from .spin import Axis, PureState, Z_AXIS, parse_axis, spinor, state_projector
 
 __all__ = [
+    "BINOMIAL_DIRECT_MAX_N",
     "CountPmf",
     "EnsembleSpec",
     "FixedComposition",
@@ -164,6 +165,10 @@ def make_urn(n: int, n_black: int | None = None) -> EnsembleSpec:
 # Count distributions
 # --------------------------------------------------------------------------
 
+# Largest n with C(n, n//2) < 2**1024, so that no binomial coefficient
+# overflows a float.
+BINOMIAL_DIRECT_MAX_N = 1029
+
 
 @dataclass(frozen=True, eq=False)
 class CountPmf:
@@ -195,11 +200,31 @@ def delta_pmf(n: int, at: int) -> CountPmf:
 
 
 def binomial_pmf(n: int, p: float) -> CountPmf:
-    """Binomial(n, p); the p = ½ values C(n, m)·2**(-n) come out exact."""
+    """Binomial(n, p) for every n; up to BINOMIAL_DIRECT_MAX_N the p = ½
+    values C(n, m)·2**(-n) come out exact.
+
+    Up to that n the terms are C(n, m)·p**m·(1-p)**(n-m) as floats.  Beyond
+    it C(n, n//2) no longer fits a float, so the pmf is built outward from
+    the mode by the ratio P(m+1)/P(m) = (n-m)/(m+1) · p/(1-p), which keeps
+    every term at most the mode's, and normalised once.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    probs = np.array([comb(n, m) * p**m * (1.0 - p) ** (n - m) for m in range(n + 1)])
-    return CountPmf(n, probs)
+    if p == 0.0 or p == 1.0:
+        return delta_pmf(n, n if p == 1.0 else 0)
+    if n <= BINOMIAL_DIRECT_MAX_N:
+        probs = np.array([comb(n, m) * p**m * (1.0 - p) ** (n - m) for m in range(n + 1)])
+        return CountPmf(n, probs)
+    mode = min(n, int((n + 1) * p))
+    odds = p / (1.0 - p)
+    up = np.arange(mode, n, dtype=float)
+    down = np.arange(mode, 0, -1, dtype=float)
+    probs = np.concatenate((
+        np.cumprod(down / (n - down + 1.0) / odds)[::-1],
+        [1.0],
+        np.cumprod((n - up) / (up + 1.0) * odds),
+    ))
+    return CountPmf(n, probs / probs.sum())
 
 
 def total_variation(p: CountPmf, q: CountPmf) -> float:

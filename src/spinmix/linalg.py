@@ -167,8 +167,18 @@ def hermitian_eigenvalues(
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the sum of absolute eigenvalues of a - b."""
+    """Half the sum of absolute eigenvalues of a - b.
+
+    Values up to 1 + ATOL_EIGEN are rounding and are clamped to 1; a larger
+    value means the eigensolver failed and raises RuntimeError.
+    """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     eigs = hermitian_eigenvalues(a.matrix - b.matrix)
-    return min(1.0, 0.5 * float(np.abs(eigs).sum()))
+    distance = 0.5 * float(np.abs(eigs).sum())
+    if distance > 1.0 + ATOL_EIGEN:
+        raise RuntimeError(
+            f"trace distance {distance!r} exceeds 1 by more than {ATOL_EIGEN:.0e}: "
+            "eigenvalues are inaccurate"
+        )
+    return min(1.0, distance)

@@ -6,6 +6,7 @@ functions they check.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -119,3 +120,32 @@ def composed_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
         g[q, p] = np.sin(theta) * np.exp(-1j * phi)
         u = u @ g
     return u
+
+
+def reference_json_text(value) -> str:
+    """The CLI's former per-float JSON writer: every float through
+    format(x, ".17g"), arrays first turned into nested lists (complex
+    entries as [re, im] pairs).  Byte-level oracle for spinmix.cli._json_text."""
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            value = [[[float(z.real), float(z.imag)] for z in row] for row in value]
+        else:
+            value = [float(x) for x in value]
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return format(float(value), ".17g")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = ", ".join(f"{json.dumps(k)}: {reference_json_text(v)}" for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(reference_json_text(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")

@@ -4,7 +4,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from spinmix.cli import main
+from spinmix import linalg
+from spinmix.cli import RHO_CAP, main
 
 
 def run_cli(capsys, *argv):
@@ -205,12 +206,55 @@ def test_error_paths_exit_nonzero(capsys):
         ["urn", "--n", "4", "--trials", "10", "--workers", "0"],
         ["distinguish", "--a", "A", "--b", "B", "--n", "4", "--trials", "-1"],
         ["distinguish", "--a", "A", "--b", "B", "--n", "4", "--workers", "-2"],
-        # exact binomial pmfs overflow a float at this size
-        ["pmf", "--ensemble", "S", "--n", "2000"],
+        # rho prints at most RHO_CAP = 10 particles
+        ["rho", "--k", "11"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_exact_pmf_beyond_float_binomial_coefficients(capsys):
+    code, out, err = run_cli(capsys, "pmf", "--ensemble", "S", "--n", "2000")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert len(doc["exact"]) == 2001
+    assert abs(sum(doc["exact"]) - 1.0) <= 1e-12
+    assert doc["mean"] == pytest.approx(1000.0, abs=1e-9)
+    assert doc["variance"] == pytest.approx(500.0, abs=1e-8)
+
+
+def test_rho_caps_k_before_building_a_matrix(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr("spinmix.ensembles.state_projector", fail)
+    for k in (RHO_CAP + 1, RHO_CAP + 2):
+        code, out, err = run_cli(capsys, "rho", "--ensemble", "A", "--n", "40", "--k", str(k))
+        assert code == 1 and out == ""
+        assert err == f"error: k = {k} exceeds the particle cap {RHO_CAP}\n"
+
+
+def test_fixed_literal_takes_n_from_its_counts(capsys):
+    code, out, err = run_cli(capsys, "rho", "--ensemble", "fixed:x+*2/x-*2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["n"] == 4
+
+    code, out, err = run_cli(capsys, "pmf", "--ensemble", "fixed:x+*2/x-*2/z+*1", "--axis", "x")
+    assert code == 0 and json.loads(out)["n"] == 5
+
+    code, out, err = run_cli(capsys, "rho", "--ensemble", "fixed:x+*2/x-*2", "--n", "5")
+    assert code == 1 and out == "" and "does not match" in err
+
+    code, out, _ = run_cli(capsys, "pmf", "--ensemble", "S")
+    assert code == 0 and json.loads(out)["n"] == 10
+
+
+def test_inaccurate_eigenvalues_end_in_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", lambda m: np.array([-1.5, 1.5]))
+    code, out, err = run_cli(capsys, "distinguish", "--a", "A", "--b", "B", "--n", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: trace distance") and err.count("\n") == 1
 
 
 def test_unknown_arguments_exit_via_argparse(capsys):

@@ -1,0 +1,94 @@
+"""Byte-level pins on CLI output.
+
+The writer is checked against the per-float reference writer in helpers.py,
+and whole outputs against sha256 digests of what the earlier per-float
+writer printed for the same commands.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+
+from helpers import reference_json_text
+from spinmix.cli import _json_text, main
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 0.1 + 0.2, 1e308, -1e308, 1.0, -1.0, 0.5]
+
+
+def awkward_floats(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The special values, then random values that need all 17 digits."""
+    scale = 10.0 ** rng.integers(-300, 300, size)
+    random = rng.uniform(-1.0, 1.0, size) * scale
+    return np.concatenate([SPECIAL, random])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_writer_matches_the_per_float_reference(seed):
+    rng = np.random.default_rng(seed)
+    vector = awkward_floats(rng, 53)
+    d = 8
+    parts = rng.permutation(np.resize(vector, 2 * d * d)).reshape(d, d, 2)
+    matrix = parts[..., 0] + 1j * parts[..., 1]
+    payload = {
+        "command": "x",
+        "n": 3,
+        "flag": True,
+        "none": None,
+        "mean": float(vector[-1]),
+        "vector": vector,
+        "matrix": matrix,
+        "one": np.array([[0.25 - 0.0j]]),
+        "empty": np.array([]),
+        "items": [{"k": 1, "distance": 0.1 + 0.2}],
+    }
+    assert _json_text(payload) == reference_json_text(payload)
+
+
+GOLDEN = [
+    # Every README example.
+    ("rho --ensemble S --n 8 --k 2",
+     "9a4fffa47f4a918a978253132a8dec4c97d64f18dc5debff3ec03d6f37a15de8"),
+    ("rho --ensemble A --n 4 --k 2 --basis x",
+     "d913d8569848dba04a781e98f13b2c2e5d4c9afd8c5987c72ee4294dd3db9288"),
+    ("pmf --ensemble B --n 4 --axis z",
+     "a893f95495164c6bca32006057f9906c4b186aeab65b117a73eff7723a60f8f2"),
+    ("pmf --ensemble S --n 4 --axis z --trials 100000 --seed 7",
+     "57bf17f1db73094da10d040ab77738de68c8aa7639e8963621a0eacaa35357f8"),
+    ("pmf --urn --n 4 --black 2",
+     "7414aaf8b1bfb2128e97be16826b206e9bf4acd435ae1fa4ad96e9d490502374"),
+    ("urn --n 4",
+     "c6fadedfe2614e4a27063138939a89bbe541dc0e8703bdd7411b818eabe379a2"),
+    ("distinguish --a A --b B --n 4 --kmax 2 --axis x --trials 100000 --seed 7",
+     "eb9c5476f171c04e5584be8718a512abca66232cd1e68e3e2c37a7695e867666"),
+    ("distinguish --a S:z --b S:x --n 6 --kmax 3",
+     "4fc120c49cb685df3a16e9928f541f5309ad6254f43d80d3001ba22ba04579aa"),
+    # CSV without and with the empirical column.
+    ("pmf --ensemble A --n 12 --axis 0.3,-0.2,0.9 --format csv",
+     "cbd39e3642695d6e9a57beea133b95d04988c4222641cc7d2404e9fced971e80"),
+    ("pmf --ensemble S --n 12 --axis x --trials 5000 --seed 11 --format csv",
+     "d279e905af867ada6a1065779a361a9e9750576cb3850af775b25e667808750f"),
+    # Large x-basis dumps (0.4 MB and 2.4 MB).
+    ("rho --ensemble S:0.3,-0.2,0.9 --n 12 --k 6 --basis x",
+     "bf2753a883a119cd5b268ac192a4a218d4728deaa5125422744aefd3811c2b38"),
+    ("rho --ensemble A --n 40 --k 8 --basis x",
+     "9e6854f87be8764730a551368ac909daa1f12119f04be21e784ee2058df936be"),
+    # Binomials at and below the largest n of the direct float expression.
+    ("pmf --ensemble S --n 1029 --axis z",
+     "bbb188c5b88efcde628c1ef600e342f8f0de8462377952b01d7e89afad0836ff"),
+    ("pmf --ensemble A --n 1000 --axis 0.3,-0.2,0.9",
+     "bd2804aa243d3f9608f46135ede6f235105bb583829296f74c2b8ed39a9dbcf5"),
+    ("pmf --ensemble fixed:x+*300/(0.3,-0.2,0.9)-*400/z+*300 --n 1000 --axis y",
+     "2484085fdfa3e96869720956261507db9a193439f30b8814857b0832139bab5d"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_output_bytes_are_pinned(command, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(command.split())
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

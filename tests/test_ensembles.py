@@ -18,6 +18,7 @@ from spinmix import (
     axis_basis_matrix,
     balanced_fixed,
     balanced_mixture,
+    binomial_pmf,
     composition_distribution,
     delta_pmf,
     ensemble_literal,
@@ -34,6 +35,7 @@ from spinmix import (
     total_variation,
     trace_distance,
 )
+from spinmix.ensembles import BINOMIAL_DIRECT_MAX_N
 
 TILTED = Axis.from_vector(0.6, 0.0, 0.8)
 
@@ -161,6 +163,32 @@ def test_symmetric_binomial_composition_is_symmetric(n):
     for m in range(n + 1):
         assert abs(pmf[m] - pmf[n - m]) <= 1e-15
     assert abs(pmf.sum() - 1.0) <= 1e-15
+
+
+def test_direct_binomial_limit_is_the_last_n_without_overflow():
+    n = BINOMIAL_DIRECT_MAX_N
+    assert comb(n, n // 2) < 2**1024 <= comb(n + 1, (n + 1) // 2)
+    float(comb(n, n // 2))
+    with pytest.raises(OverflowError):
+        float(comb(n + 1, (n + 1) // 2))
+
+
+@pytest.mark.parametrize("n", [5, 1030, 5000, 10**4, 10**5])
+def test_binomial_at_p_zero_and_one_is_a_delta(n):
+    assert np.array_equal(binomial_pmf(n, 0.0).probabilities, delta_pmf(n, 0).probabilities)
+    assert np.array_equal(binomial_pmf(n, 1.0).probabilities, delta_pmf(n, n).probabilities)
+
+
+@pytest.mark.parametrize("n", [1030, 10**4, 10**5])
+@pytest.mark.parametrize("q", [0.5, 0.3, 1e-3, 0.999, 1e-200])
+def test_large_binomial_sum_and_moments(n, q):
+    pmf = binomial_pmf(n, q)
+    counts = np.arange(n + 1, dtype=float)
+    mean = float(counts @ pmf.probabilities)
+    variance = float(((counts - mean) ** 2) @ pmf.probabilities)
+    assert abs(pmf.probabilities.sum() - 1.0) <= 1e-12
+    assert abs(mean - n * q) <= 1e-9 * n
+    assert abs(variance - n * q * (1.0 - q)) <= 1e-9 * n
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from helpers import (
     random_density,
     random_hermitian,
 )
+import spinmix.linalg as linalg
 from spinmix import (
     DensityMatrix,
     X_AXIS,
@@ -158,6 +159,20 @@ def test_trace_distance_rejects_dimension_mismatch():
     b = DensityMatrix(np.eye(4, dtype=complex) / 4.0, 2)
     with pytest.raises(ValueError):
         trace_distance(a, b)
+
+
+def test_trace_distance_clamps_rounding_and_rejects_solver_error(monkeypatch):
+    up = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
+    down = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), 1)
+
+    def spectrum(distance):
+        return lambda m: np.array([-distance, distance])
+
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", spectrum(1.0 + 0.5 * linalg.ATOL_EIGEN))
+    assert trace_distance(up, down) == 1.0
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", spectrum(1.0 + 2.0 * linalg.ATOL_EIGEN))
+    with pytest.raises(RuntimeError, match="exceeds 1"):
+        trace_distance(up, down)
 
 
 @given(st.integers(0, 2**32 - 1))

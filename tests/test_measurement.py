@@ -132,6 +132,15 @@ def test_exact_pmf_is_normalized(axis, preset, n):
     assert pmf.probabilities.min() >= 0.0
 
 
+@pytest.mark.parametrize("n", [1030, 10**4, 10**5])
+def test_large_n_count_pmfs_along_z(n):
+    """B is a spike at n/2 and S is Binomial(n, ½), so TV(B, S) = 1 - C(n, n/2)/2**n;
+    A along z is two Binomial(n/2, ½) halves, which convolve to S's pmf."""
+    pmfs = {name: exact_count_pmf(preset_ensemble(name, n), Z_AXIS) for name in "ABS"}
+    assert abs(total_variation(pmfs["B"], pmfs["S"]) - (1 - comb(n, n // 2) / 2**n)) <= 1e-12
+    assert np.abs(pmfs["A"].probabilities - pmfs["S"].probabilities).max() <= 1e-12
+
+
 def test_pmf_moments_examples():
     assert pmf_moments(binomial_pmf(4, 0.5)) == (2.0, 1.0)
     assert pmf_moments(delta_pmf(4, 2)) == (2.0, 0.0)
