@@ -8,7 +8,7 @@ byte-identical across reruns and parses back losslessly.  Arrays are
 written one row per `%` call from a row template built once per array.
 
 `--n` may be omitted: a fixed: literal then takes n from its counts, and
-presets, iid: literals and `--urn` use n = 10.  `rho` prints at most
+presets, iid: literals and `urn` use n = 10.  `rho` prints at most
 k = 10 particles (an x-basis dump at k = 10 is already about 50-100 MB of
 JSON); exact pmfs work for every n.
 """
@@ -30,14 +30,13 @@ from .ensembles import (
     reduced_density_matrix,
     urn_composition,
 )
-from .linalg import ATOL_ALGEBRA
 from .measurement import exact_count_pmf, monte_carlo_count_pmf, pmf_moments
 from .spin import X_AXIS, Z_AXIS, axis_basis_matrix, axis_label, parse_axis
 
 
 # Largest k whose matrices `rho` prints; the library's PARTICLE_CAP is larger.
 RHO_CAP = 10
-# Ensemble size for presets, iid: literals and --urn when --n is omitted.
+# Ensemble size for presets, iid: literals and urns when --n is omitted.
 DEFAULT_N = 10
 N_HELP = f"ensemble size; if omitted, a fixed: literal's total count, else {DEFAULT_N}"
 
@@ -87,10 +86,8 @@ def _parse_spec(text: str, n: int | None):
 
 
 def cmd_rho(args) -> str:
-    if args.format != "json":
-        raise ValueError("--format csv is available for pmf output only")
     spec = _parse_spec(args.ensemble, args.n)
-    rho = reduced_density_matrix(spec, args.k, cap=RHO_CAP, atol=args.tolerance)
+    rho = reduced_density_matrix(spec, args.k, cap=RHO_CAP)
     payload = {
         "command": "rho",
         "ensemble": ensemble_literal(spec),
@@ -140,44 +137,28 @@ def _pmf_output(args, payload: dict, spec, pmf, axis) -> str:
 
 
 def cmd_pmf(args) -> str:
-    if args.urn:
-        spec = make_urn(DEFAULT_N if args.n is None else args.n, args.black)
-        pmf = urn_composition(spec)
-        # Counting z+ outcomes along z is exactly counting black balls, so
-        # the empirical path reuses the measurement simulation unchanged.
-        axis = Z_AXIS
-        payload = {
-            "command": "pmf",
-            "ensemble": ensemble_literal(spec),
-            "n": spec.n,
-            "urn": True,
-            "black": args.black,
-        }
-    else:
-        if args.black is not None:
-            raise ValueError("--black requires --urn")
-        spec = _parse_spec(args.ensemble, args.n)
-        axis = parse_axis(args.axis)
-        pmf = exact_count_pmf(spec, axis)
-        payload = {
-            "command": "pmf",
-            "ensemble": ensemble_literal(spec),
-            "n": spec.n,
-            "axis": axis_label(axis),
-        }
-    return _pmf_output(args, payload, spec, pmf, axis)
+    spec = _parse_spec(args.ensemble, args.n)
+    axis = parse_axis(args.axis)
+    payload = {
+        "command": "pmf",
+        "ensemble": ensemble_literal(spec),
+        "n": spec.n,
+        "axis": axis_label(axis),
+    }
+    return _pmf_output(args, payload, spec, exact_count_pmf(spec, axis), axis)
 
 
 def cmd_urn(args) -> str:
     spec = make_urn(args.n, args.black)
-    pmf = urn_composition(spec)
     payload = {
         "command": "urn",
         "ensemble": ensemble_literal(spec),
         "n": spec.n,
         "black": args.black,
     }
-    return _pmf_output(args, payload, spec, pmf, Z_AXIS)
+    # Counting z+ outcomes along z is exactly counting black balls, so the
+    # empirical column comes from the measurement simulation unchanged.
+    return _pmf_output(args, payload, spec, urn_composition(spec), Z_AXIS)
 
 
 def cmd_distinguish(args) -> str:
@@ -223,13 +204,11 @@ def cmd_distinguish(args) -> str:
     return _json_text(payload) + "\n"
 
 
-def _add_common(sub, *, trials: bool = True) -> None:
-    sub.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
-    if trials:
-        sub.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = exact only)")
-        sub.add_argument("--seed", type=int, default=0, help="master seed for Monte Carlo streams")
-        sub.add_argument("--workers", type=int, default=1,
-                         help="threads for Monte Carlo blocks (at most the CPU count)")
+def _add_sampling(sub) -> None:
+    sub.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = exact only)")
+    sub.add_argument("--seed", type=int, default=0, help="master seed for Monte Carlo streams")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="threads for Monte Carlo blocks (at most the CPU count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,9 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"number of particles kept, at most {RHO_CAP}")
     rho.add_argument("--basis", choices=["z", "x"], default="z",
                      help="x additionally prints the matrix in the x product basis")
-    rho.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
-    rho.add_argument("--tolerance", type=float, default=ATOL_ALGEBRA,
-                     help="validation tolerance for algebraic identities")
     rho.set_defaults(func=cmd_rho)
 
     pmf = sub.add_parser("pmf", help="exact (and sampled) +1-count distribution",
@@ -258,19 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
     pmf.add_argument("--ensemble", default="S", help="preset A|B|S[:axis] or fixed:/iid: literal")
     pmf.add_argument("--n", type=int, default=None, help=N_HELP)
     pmf.add_argument("--axis", default="z", help="measurement axis: x, y, z or ux,uy,uz")
-    pmf.add_argument("--urn", action="store_true", help="classical urn composition instead")
-    pmf.add_argument("--black", type=int, default=None,
-                     help="with --urn: exact black-ball count (omit for random mixing)")
-    _add_common(pmf)
     pmf.set_defaults(func=cmd_pmf)
 
     urn = sub.add_parser("urn", help="black-ball count distribution of an urn",
                          formatter_class=fmt)
-    urn.add_argument("--n", type=int, default=10, help="number of balls")
+    urn.add_argument("--n", type=int, default=DEFAULT_N, help="number of balls")
     urn.add_argument("--black", type=int, default=None,
                      help="exact black-ball count (omit for random mixing)")
-    _add_common(urn)
     urn.set_defaults(func=cmd_urn)
+    for counts in (pmf, urn):
+        counts.add_argument("--format", choices=["json", "csv"], default="json",
+                            help="output format")
 
     dist = sub.add_parser("distinguish", help="distinguishability report for two ensembles",
                           formatter_class=fmt)
@@ -280,12 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--kmax", type=int, default=2, help="largest k for trace distances")
     dist.add_argument("--axis", action="append", default=None,
                       help="measurement axis (repeatable; default: x and z)")
-    dist.add_argument("--format", choices=["json"], default="json", help="output format")
-    dist.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = exact only)")
-    dist.add_argument("--seed", type=int, default=0, help="master seed for Monte Carlo streams")
-    dist.add_argument("--workers", type=int, default=1,
-                      help="threads for Monte Carlo blocks (at most the CPU count)")
     dist.set_defaults(func=cmd_distinguish)
+    for sampled in (pmf, urn, dist):
+        _add_sampling(sampled)
     return parser
 
 

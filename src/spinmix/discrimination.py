@@ -55,11 +55,9 @@ def pairwise_trace_distances(
     a: EnsembleSpec,
     b: EnsembleSpec,
     k_max: int,
-    *,
-    cap: int = PARTICLE_CAP,
 ) -> list[tuple[int, float]]:
     """trace_distance(ρ_k of a, ρ_k of b) for k = 1..k_max."""
-    limit = min(a.n, b.n, cap)
+    limit = min(a.n, b.n, PARTICLE_CAP)
     if not 1 <= k_max <= limit:
         raise ValueError(f"k_max {k_max} outside 1..{limit}")
     return [

@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import ATOL_ALGEBRA, PARTICLE_CAP, DensityMatrix, kron
+from .linalg import ATOL_ALGEBRA, PARTICLE_CAP, DensityMatrix, kron_power
 from .spin import Axis, PureState, Z_AXIS, parse_axis, spinor, state_projector
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "EnsembleSpec",
     "FixedComposition",
     "IidMixture",
-    "TypeSequenceWeight",
     "balanced_fixed",
     "balanced_mixture",
     "binomial_pmf",
@@ -42,10 +41,6 @@ __all__ = [
     "delta_pmf",
     "ensemble_literal",
     "make_urn",
-    "ordered_type_weight",
-    "pair_density",
-    "pair_density_cross_expansion",
-    "pair_frequencies",
     "parse_ensemble",
     "preset_ensemble",
     "reduced_density_matrix",
@@ -104,10 +99,10 @@ class IidMixture:
             raise ValueError(f"n must be >= 1, got {self.n}")
         total = 0.0
         for state, p in comps:
-            if p < 0.0:
-                raise ValueError(f"negative probability {p}")
+            if not p >= 0.0:
+                raise ValueError(f"probability {p} is negative or not a number")
             total += p
-        if abs(total - 1.0) > ATOL_ALGEBRA:
+        if not abs(total - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         _check_distinct(tuple(s for s, _ in comps))
 
@@ -181,10 +176,10 @@ class CountPmf:
         p = np.array(self.probabilities, dtype=float)
         if p.shape != (self.n + 1,):
             raise ValueError(f"expected {self.n + 1} probabilities, got shape {p.shape}")
-        if p.min() < 0.0:
-            raise ValueError(f"negative probability {p.min()!r}")
+        if not p.min() >= 0.0:
+            raise ValueError(f"probability {p.min()!r} is negative or not a number")
         total = float(p.sum())
-        if abs(total - 1.0) > ATOL_ALGEBRA:
+        if not abs(total - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
@@ -254,46 +249,8 @@ def urn_composition(spec: EnsembleSpec) -> CountPmf:
 
 
 # --------------------------------------------------------------------------
-# Ordered selections and reduced density matrices
+# Reduced density matrices
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TypeSequenceWeight:
-    """Probability that an ordered selection shows this exact type sequence."""
-
-    sequence: tuple[int, ...]
-    weight: float
-
-
-def ordered_type_weight(spec: EnsembleSpec, sequence) -> TypeSequenceWeight:
-    """Weight of drawing the given component types, in order.
-
-    Fixed composition: product of remaining-count ratios (sampling without
-    replacement).  I.i.d. mixture: plain product of component probabilities.
-    """
-    seq = tuple(int(i) for i in sequence)
-    m = len(spec.components)
-    for idx in seq:
-        if not 0 <= idx < m:
-            raise ValueError(f"component index {idx} outside 0..{m - 1}")
-    if isinstance(spec, FixedComposition):
-        if len(seq) > spec.n:
-            raise ValueError(f"cannot select {len(seq)} of {spec.n} without replacement")
-        remaining = [c for _, c in spec.components]
-        total = spec.n
-        w = 1.0
-        for idx in seq:
-            w *= remaining[idx] / total
-            if w == 0.0:
-                break
-            remaining[idx] -= 1
-            total -= 1
-        return TypeSequenceWeight(seq, w)
-    w = 1.0
-    for idx in seq:
-        w *= spec.components[idx][1]
-    return TypeSequenceWeight(seq, w)
 
 
 def reduced_density_matrix(
@@ -301,7 +258,6 @@ def reduced_density_matrix(
     k: int,
     *,
     cap: int = PARTICLE_CAP,
-    atol: float = ATOL_ALGEBRA,
 ) -> DensityMatrix:
     """Exact state of k particles selected from the ensemble.
 
@@ -322,10 +278,7 @@ def reduced_density_matrix(
         rho1 = np.zeros((2, 2), dtype=complex)
         for proj, (_, p) in zip(projectors, spec.components):
             rho1 += p * proj
-        out = rho1
-        for _ in range(k - 1):
-            out = np.kron(out, rho1)
-        return DensityMatrix(out, k, atol)
+        return DensityMatrix(kron_power(rho1, k), k)
 
     if k > spec.n:
         raise ValueError(f"cannot select k = {k} of n = {spec.n} without replacement")
@@ -350,56 +303,7 @@ def reduced_density_matrix(
         return acc
 
     counts = tuple(c for _, c in spec.components)
-    return DensityMatrix(suffix_state(counts, k), k, atol)
-
-
-# --------------------------------------------------------------------------
-# Closed pair-state forms for the half-and-half composition
-# --------------------------------------------------------------------------
-
-
-def pair_frequencies(n: int) -> tuple[float, float]:
-    """Ordered-pair weights (parallel, antiparallel) when drawing two particles
-    without replacement from a half/half composition of n."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 2, got {n}")
-    parallel = (0.5 * n * (0.5 * n - 1.0)) / (n * (n - 1.0))
-    antiparallel = (n * n / 4.0) / (n * (n - 1.0))
-    return parallel, antiparallel
-
-
-def pair_density(n: int, axis: Axis) -> DensityMatrix:
-    """Closed-form two-particle state of balanced_fixed(n, axis)."""
-    par, anti = pair_frequencies(n)
-    up = state_projector(spinor(axis, +1))
-    dn = state_projector(spinor(axis, -1))
-    m = par * (kron(up, up) + kron(dn, dn)) + anti * (kron(up, dn) + kron(dn, up))
-    return DensityMatrix(m, 2)
-
-
-def pair_density_cross_expansion(n: int, expansion_axis: Axis) -> DensityMatrix:
-    """The same pair state assembled in the product basis of an unbiased axis.
-
-    Equal weight (par + anti)/2 on the four pair projectors of
-    `expansion_axis`, plus (par - anti)/2 on the four spin-flip cross terms
-    |v_{-s,-s'}⟩⟨v_{s,s'}|.  For expansion along x this reproduces
-    pair_density(n, Z_AXIS) entrywise: the flip operator along x equals the
-    z Pauli matrix under the spinor phase convention.
-    """
-    par, anti = pair_frequencies(n)
-    diag_w = 0.5 * (par + anti)
-    cross_w = 0.5 * (par - anti)
-    plus = spinor(expansion_axis, +1).vector
-    minus = spinor(expansion_axis, -1).vector
-    vec = {+1: plus, -1: minus}
-    m = np.zeros((4, 4), dtype=complex)
-    for s in (+1, -1):
-        for t in (+1, -1):
-            ket = np.kron(vec[s], vec[t])
-            flipped = np.kron(vec[-s], vec[-t])
-            m += diag_w * np.outer(ket, ket.conj())
-            m += cross_w * np.outer(flipped, ket.conj())
-    return DensityMatrix(m, 2)
+    return DensityMatrix(suffix_state(counts, k), k)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ callers are never mutated and `DensityMatrix` freezes its payload.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,31 +55,31 @@ def hermiticity_defect(m: np.ndarray) -> float:
 class DensityMatrix:
     """Validated k-particle density matrix in the computational (z) basis.
 
-    Construction enforces the cheap invariants (shape 2**k, hermiticity and
-    unit trace within `atol`).  Positive semidefiniteness needs a spectrum,
+    Construction enforces the cheap invariants (k within 1..PARTICLE_CAP,
+    checked before the matrix is copied; shape 2**k; hermiticity and unit
+    trace within ATOL_ALGEBRA).  Positive semidefiniteness needs a spectrum,
     so it is exposed through :meth:`min_eigenvalue` and asserted in the test
     suite rather than on every construction.
     """
 
     matrix: np.ndarray
     particle_count: int
-    atol: InitVar[float] = ATOL_ALGEBRA
 
-    def __post_init__(self, atol: float) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    def __post_init__(self) -> None:
         k = self.particle_count
         if not 1 <= k <= PARTICLE_CAP:
             raise ValueError(f"particle_count {k} outside 1..{PARTICLE_CAP}")
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if m.shape[0] != 2**k:
             raise ValueError(f"dim {m.shape[0]} does not match 2**{k}")
         defect = hermiticity_defect(m)
-        if defect > atol:
-            raise ValueError(f"not Hermitian: max |M - M†| = {defect:.3e} > {atol:.1e}")
+        if not defect <= ATOL_ALGEBRA:
+            raise ValueError(f"not Hermitian: max |M - M†| = {defect:.3e} > {ATOL_ALGEBRA:.1e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > atol:
-            raise ValueError(f"trace {tr} differs from 1 by more than {atol:.1e}")
+        if not abs(tr - 1.0) <= ATOL_ALGEBRA:
+            raise ValueError(f"trace {tr} differs from 1 by more than {ATOL_ALGEBRA:.1e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -140,28 +140,23 @@ def _jacobi_diagonal(s: np.ndarray, off_tol: float) -> np.ndarray:
     raise RuntimeError("Jacobi sweeps did not converge")
 
 
-def hermitian_eigenvalues(
-    m: np.ndarray,
-    *,
-    herm_atol: float = ATOL_ALGEBRA,
-    off_tol: float = JACOBI_OFF_TOL,
-) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Uses cyclic Jacobi on the real symmetric embedding [[A, -B], [B, A]] of
     H = A + iB, whose spectrum is that of H with every eigenvalue doubled;
     one copy of each pair is returned.  Rejects input whose hermiticity
-    defect exceeds `herm_atol`.
+    defect exceeds ATOL_ALGEBRA.
     """
     m = _as_square_complex(m)
     defect = hermiticity_defect(m)
-    if defect > herm_atol:
-        raise ValueError(f"not Hermitian: max |M - M†| = {defect:.3e} > {herm_atol:.1e}")
+    if not defect <= ATOL_ALGEBRA:
+        raise ValueError(f"not Hermitian: max |M - M†| = {defect:.3e} > {ATOL_ALGEBRA:.1e}")
     a = m.real
     b = m.imag
     s = np.block([[a, -b], [b, a]])
     s = 0.5 * (s + s.T)  # kill the sub-tolerance asymmetry before rotating
-    diag = _jacobi_diagonal(s, off_tol)
+    diag = _jacobi_diagonal(s, JACOBI_OFF_TOL)
     diag.sort()
     return diag[::2].copy()
 

@@ -33,7 +33,7 @@ class Axis:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.ux**2 + self.uy**2 + self.uz**2)
-        if abs(norm - 1.0) > ATOL_ALGEBRA:
+        if not abs(norm - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"axis ({self.ux}, {self.uy}, {self.uz}) has norm {norm!r}, not 1")
 
     @classmethod
@@ -90,7 +90,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         norm_sq = abs(self.a0) ** 2 + abs(self.a1) ** 2
-        if abs(norm_sq - 1.0) > ATOL_ALGEBRA:
+        if not abs(norm_sq - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"amplitudes not normalized: |a|^2 = {norm_sq!r}")
 
     @property

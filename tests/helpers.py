@@ -12,7 +12,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from spinmix import Axis, FixedComposition, IidMixture, PureState
+from spinmix import X_AXIS, Axis, FixedComposition, IidMixture, PureState, spinor
 
 
 def unit_axes():
@@ -78,6 +78,37 @@ def iid_sequence_sum(spec: IidMixture, k: int) -> np.ndarray:
             term = np.kron(term, np.outer(vectors[i], vectors[i].conj()))
         acc += weight * term
     return acc
+
+
+def pair_frequencies(n: int) -> tuple[float, float]:
+    """Ordered-pair weights (parallel, antiparallel) when drawing two particles
+    without replacement from a half/half composition of n."""
+    parallel = (0.5 * n * (0.5 * n - 1.0)) / (n * (n - 1.0))
+    antiparallel = (n * n / 4.0) / (n * (n - 1.0))
+    return parallel, antiparallel
+
+
+def pair_state(n: int, axis: Axis) -> np.ndarray:
+    """Closed-form two-particle state of the half/half composition along `axis`."""
+    par, anti = pair_frequencies(n)
+    up, dn = (np.outer(v, v.conj()) for v in (spinor(axis, +1).vector, spinor(axis, -1).vector))
+    return par * (np.kron(up, up) + np.kron(dn, dn)) + anti * (np.kron(up, dn) + np.kron(dn, up))
+
+
+def pair_state_cross_expansion(n: int) -> np.ndarray:
+    """The z pair state assembled in the x product basis: weight (par + anti)/2
+    on the four x pair projectors, plus (par - anti)/2 on the spin-flip cross
+    terms |v_{-s,-s'}><v_{s,s'}|.  Equal to pair_state(n, Z_AXIS) only under
+    the spinor phase convention, where the x flip operator is the z Pauli
+    matrix."""
+    par, anti = pair_frequencies(n)
+    vec = {+1: spinor(X_AXIS, +1).vector, -1: spinor(X_AXIS, -1).vector}
+    out = np.zeros((4, 4), dtype=complex)
+    for s, t in itertools.product((+1, -1), repeat=2):
+        ket = np.kron(vec[s], vec[t])
+        out += 0.5 * (par + anti) * np.outer(ket, ket.conj())
+        out += 0.5 * (par - anti) * np.outer(np.kron(vec[-s], vec[-t]), ket.conj())
+    return out
 
 
 def swap_slots(matrix: np.ndarray, k: int, i: int, j: int) -> np.ndarray:

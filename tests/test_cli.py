@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinmix import linalg
-from spinmix.cli import RHO_CAP, main
+from spinmix.cli import DEFAULT_N, RHO_CAP, main
 
 
 def run_cli(capsys, *argv):
@@ -44,12 +44,6 @@ def test_rho_x_basis_flag(capsys):
     assert np.abs(rotated - np.diag(np.diag(rotated))).max() <= 1e-12
 
 
-def test_rho_rejects_csv(capsys):
-    code, out, err = run_cli(capsys, "rho", "--ensemble", "A", "--n", "4", "--format", "csv")
-    assert code == 1 and out == ""
-    assert "csv" in err
-
-
 def test_pmf_deterministic_composition(capsys):
     code, out, _ = run_cli(capsys, "pmf", "--ensemble", "B", "--n", "4", "--axis", "z")
     assert code == 0
@@ -67,10 +61,10 @@ def test_pmf_statistical_mixture(capsys):
 
 
 def test_pmf_fixed_urn(capsys):
-    code, out, _ = run_cli(capsys, "pmf", "--urn", "--n", "4", "--black", "2")
+    code, out, _ = run_cli(capsys, "urn", "--n", "4", "--black", "2")
     assert code == 0
     doc = json.loads(out)
-    assert doc["urn"] is True and doc["black"] == 2
+    assert doc["command"] == "urn" and doc["black"] == 2
     assert doc["exact"] == [0, 0, 1, 0, 0]
 
 
@@ -79,6 +73,9 @@ def test_urn_random_mixing(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["exact"] == [comb(4, m) * 2.0**-4 for m in range(5)]
+
+    code, out, _ = run_cli(capsys, "urn")
+    assert code == 0 and json.loads(out)["n"] == DEFAULT_N
 
 
 def test_pmf_csv_output(capsys):
@@ -102,12 +99,6 @@ def test_pmf_csv_with_empirical_column(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "count,probability,empirical"
     assert len(lines) == 6
-
-
-def test_pmf_black_requires_urn(capsys):
-    code, _, err = run_cli(capsys, "pmf", "--ensemble", "B", "--n", "4", "--black", "2")
-    assert code == 1
-    assert "--black" in err
 
 
 def test_distinguish_fixed_pair(capsys):
@@ -208,6 +199,14 @@ def test_error_paths_exit_nonzero(capsys):
         ["distinguish", "--a", "A", "--b", "B", "--n", "4", "--workers", "-2"],
         # rho prints at most RHO_CAP = 10 particles
         ["rho", "--k", "11"],
+        # NaN compares false with everything, so every validator must reject it
+        ["pmf", "--ensemble", "S", "--n", "4", "--axis=nan,0,0"],
+        ["pmf", "--ensemble", "S", "--n", "4", "--axis=inf,0,0"],
+        ["pmf", "--ensemble", "iid:z+*nan/z-*0.5", "--n", "4"],
+        ["pmf", "--ensemble", "iid:z+*nan/z-*0.5", "--n", "4", "--trials", "10"],
+        ["pmf", "--ensemble", "iid:z+*inf/z-*0.5", "--n", "4"],
+        ["rho", "--ensemble", "iid:z+*nan/z-*0.5", "--n", "4", "--k", "1"],
+        ["distinguish", "--a", "A", "--b", "B", "--n", "4", "--axis=nan,0,0"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -258,6 +257,16 @@ def test_inaccurate_eigenvalues_end_in_an_error(capsys, monkeypatch):
 
 
 def test_unknown_arguments_exit_via_argparse(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["rho", "--bogus"])
-    assert excinfo.value.code == 2
+    for argv in (
+        ["rho", "--bogus"],
+        # Removed options: urns have their own subcommand, rho and
+        # distinguish print JSON only, and rho validates at ATOL_ALGEBRA.
+        ["rho", "--format", "json"],
+        ["rho", "--tolerance", "1e-9"],
+        ["pmf", "--urn", "--n", "4"],
+        ["pmf", "--ensemble", "B", "--n", "4", "--black", "2"],
+        ["distinguish", "--a", "A", "--b", "B", "--format", "json"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2

@@ -57,8 +57,8 @@ GOLDEN = [
      "a893f95495164c6bca32006057f9906c4b186aeab65b117a73eff7723a60f8f2"),
     ("pmf --ensemble S --n 4 --axis z --trials 100000 --seed 7",
      "57bf17f1db73094da10d040ab77738de68c8aa7639e8963621a0eacaa35357f8"),
-    ("pmf --urn --n 4 --black 2",
-     "7414aaf8b1bfb2128e97be16826b206e9bf4acd435ae1fa4ad96e9d490502374"),
+    ("urn --n 4 --black 2",
+     "bc83c9f4cb2483790ca6697661c2c6ca57814c37a7f9275a2f4f0eece68445bc"),
     ("urn --n 4",
      "c6fadedfe2614e4a27063138939a89bbe541dc0e8703bdd7411b818eabe379a2"),
     ("distinguish --a A --b B --n 4 --kmax 2 --axis x --trials 100000 --seed 7",

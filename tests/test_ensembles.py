@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_reduced, iid_sequence_sum, particle_vectors, swap_slots
+from helpers import (
+    brute_force_reduced,
+    iid_sequence_sum,
+    pair_frequencies,
+    pair_state,
+    particle_vectors,
+    swap_slots,
+)
 from spinmix import (
     Axis,
     CountPmf,
     FixedComposition,
     IidMixture,
     X_AXIS,
-    Y_AXIS,
     Z_AXIS,
     axis_basis_matrix,
     balanced_fixed,
@@ -23,10 +29,6 @@ from spinmix import (
     delta_pmf,
     ensemble_literal,
     make_urn,
-    ordered_type_weight,
-    pair_density,
-    pair_density_cross_expansion,
-    pair_frequencies,
     parse_ensemble,
     partial_trace_last,
     preset_ensemble,
@@ -192,46 +194,14 @@ def test_large_binomial_sum_and_moments(n, q):
 
 
 # ---------------------------------------------------------------------------
-# Sequence weights
+# Pair weights
 # ---------------------------------------------------------------------------
 
 
 def test_ordered_weights_match_pair_frequencies():
-    spec = balanced_fixed(4, X_AXIS)
-    assert ordered_type_weight(spec, (0, 0)).weight == pytest.approx(1 / 6, abs=1e-15)
-    assert ordered_type_weight(spec, (0, 1)).weight == pytest.approx(1 / 3, abs=1e-15)
     par, anti = pair_frequencies(4)
     assert par == pytest.approx(1 / 6, abs=1e-15)
     assert anti == pytest.approx(1 / 3, abs=1e-15)
-
-
-def test_iid_weights_are_products():
-    spec = balanced_mixture(5, Z_AXIS)
-    for seq in itertools.product(range(2), repeat=2):
-        assert ordered_type_weight(spec, seq).weight == 0.25
-
-
-def test_weight_errors():
-    spec = balanced_fixed(2, X_AXIS)
-    with pytest.raises(ValueError):
-        ordered_type_weight(spec, (0, 1, 0))  # k > n without replacement
-    with pytest.raises(ValueError):
-        ordered_type_weight(spec, (0, 2))
-
-
-@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(1, 3))
-@settings(max_examples=60)
-def test_fixed_weights_sum_to_one(c0, c1, c2, k):
-    counts = (c0, c1, c2)
-    n = sum(counts)
-    if n < max(1, k):
-        return
-    states = (spinor(Z_AXIS, +1), spinor(X_AXIS, +1), spinor(Y_AXIS, +1))
-    spec = FixedComposition(tuple(zip(states, counts)))
-    total = sum(
-        ordered_type_weight(spec, seq).weight for seq in itertools.product(range(3), repeat=k)
-    )
-    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +316,13 @@ def test_pair_distance_law(n):
     b = reduced_density_matrix(balanced_fixed(n, Z_AXIS), 2)
     law = 1.0 / (2.0 * (n - 1.0))
     assert trace_distance(a, b) == pytest.approx(law, abs=1e-10)
-    # same value from the closed forms
-    assert trace_distance(pair_density(n, X_AXIS), pair_density(n, Z_AXIS)) == pytest.approx(
-        law, abs=1e-10
-    )
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 10, 100])
 def test_closed_pair_forms_match_reduced_matrices(n):
     for axis in (X_AXIS, Z_AXIS):
         direct = reduced_density_matrix(balanced_fixed(n, axis), 2).matrix
-        assert np.abs(direct - pair_density(n, axis).matrix).max() <= 1e-12
-    expanded = pair_density_cross_expansion(n, X_AXIS).matrix
-    assert np.abs(expanded - pair_density(n, Z_AXIS).matrix).max() <= 1e-12
+        assert np.abs(direct - pair_state(n, axis)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

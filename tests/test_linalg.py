@@ -203,8 +203,8 @@ def test_density_matrix_validation():
         DensityMatrix(I2, 1)  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(I2 / 2.0, 2)  # dim != 2**k
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2**13, dtype=complex) / 2**13, 13)  # over the cap
+    with pytest.raises(ValueError, match="outside 1..12"):
+        DensityMatrix(I2 / 2.0, 13)  # over the cap, checked before any copy
 
 
 def test_density_matrix_is_frozen():

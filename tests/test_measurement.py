@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinmix.measurement as measurement
-from helpers import unit_axes
+from helpers import pair_frequencies, unit_axes
 from spinmix import (
     ExperimentRecord,
     IidMixture,
@@ -21,7 +21,6 @@ from spinmix import (
     exact_count_pmf,
     measure_realization,
     monte_carlo_count_pmf,
-    pair_frequencies,
     parse_ensemble,
     pmf_moments,
     preset_ensemble,

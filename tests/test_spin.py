@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import pure_states, signs, unit_axes
+from helpers import pair_state, pair_state_cross_expansion, pure_states, signs, unit_axes
 from spinmix import (
     Axis,
     PureState,
@@ -13,8 +13,6 @@ from spinmix import (
     Z_AXIS,
     axis_label,
     kron,
-    pair_density,
-    pair_density_cross_expansion,
     parse_axis,
     projector,
     spinor,
@@ -157,9 +155,7 @@ def test_phase_key_fixes_leading_sign():
 def test_pair_state_agrees_between_z_and_x_constructions(n):
     # The z-basis pair state of the half/half z composition equals its
     # expansion over x pair projectors plus spin-flip cross terms.
-    direct = pair_density(n, Z_AXIS)
-    expanded = pair_density_cross_expansion(n, X_AXIS)
-    assert np.abs(direct.matrix - expanded.matrix).max() <= 1e-12
+    assert np.abs(pair_state(n, Z_AXIS) - pair_state_cross_expansion(n)).max() <= 1e-12
 
 
 def test_single_projector_cross_basis_identity_does_not_hold():
