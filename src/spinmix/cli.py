@@ -10,7 +10,9 @@ written one row per `%` call from a row template built once per array.
 `--n` may be omitted: a fixed: literal then takes n from its counts, and
 presets, iid: literals and `urn` use n = 10.  `rho` prints at most
 k = 10 particles (an x-basis dump at k = 10 is already about 50-100 MB of
-JSON); exact pmfs work for every n.
+JSON).  Count pmfs, count figures and Monte Carlo runs take n up to
+COUNT_N_CAP = 10**6; a larger n ends in one `error:` line before any array
+of that size is allocated, and so does running out of memory.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.func(args)
-    except (ValueError, OverflowError, RuntimeError) as exc:
+    except (ValueError, OverflowError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

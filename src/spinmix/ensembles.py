@@ -30,6 +30,7 @@ from .spin import Axis, PureState, Z_AXIS, parse_axis, spinor, state_projector
 
 __all__ = [
     "BINOMIAL_DIRECT_MAX_N",
+    "COUNT_N_CAP",
     "CountPmf",
     "EnsembleSpec",
     "FixedComposition",
@@ -163,6 +164,15 @@ def make_urn(n: int, n_black: int | None = None) -> EnsembleSpec:
 # Largest n with C(n, n//2) < 2**1024, so that no binomial coefficient
 # overflows a float.
 BINOMIAL_DIRECT_MAX_N = 1029
+# Largest n for which count pmfs and Monte Carlo blocks are built: their
+# arrays hold n + 1 (or n) entries, so larger n would be an unbounded
+# memory request.
+COUNT_N_CAP = 10**6
+
+
+def _check_count_n(n: int) -> None:
+    if n > COUNT_N_CAP:
+        raise ValueError(f"n = {n} exceeds the count cap COUNT_N_CAP = {COUNT_N_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +197,7 @@ class CountPmf:
 
 def delta_pmf(n: int, at: int) -> CountPmf:
     """All mass on a single count."""
+    _check_count_n(n)
     if not 0 <= at <= n:
         raise ValueError(f"count {at} outside 0..{n}")
     p = np.zeros(n + 1)
@@ -205,6 +216,7 @@ def binomial_pmf(n: int, p: float) -> CountPmf:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_count_n(n)
     if p == 0.0 or p == 1.0:
         return delta_pmf(n, n if p == 1.0 else 0)
     if n <= BINOMIAL_DIRECT_MAX_N:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .ensembles import (
     CountPmf,
     EnsembleSpec,
     FixedComposition,
+    _check_count_n,
     binomial_pmf,
     ensemble_literal,
 )
@@ -37,6 +38,9 @@ from .spin import Axis, PureState, transition_probability
 
 _SEED_LIMIT = 2**64
 _BLOCK_PARTICLES = 2**16
+# With a thread pool, blocks are handed out this many per thread at a time,
+# so finished results wait for the caller in a bounded window.
+_BLOCKS_PER_THREAD = 4
 
 T = TypeVar("T")
 
@@ -133,17 +137,21 @@ def run_blocks(
     draw: Callable[[np.random.Generator, int, int], T],
     *,
     workers: int = 1,
-) -> list[T]:
-    """``draw(stream, first_trial, rows)`` for every block of `trials`, in block order.
+) -> Iterator[T]:
+    """``draw(stream, first_trial, rows)`` for every block of `trials`, yielded
+    in block order.
 
     Block b covers trials b·B to b·B + B - 1, with B = block_size(n), and
     draws from trial_stream(master_seed, b).  With ``workers > 1`` whole
-    blocks go to a pool of at most min(workers, CPU count, blocks) threads.
+    blocks go to a pool of at most min(workers, CPU count, blocks) threads,
+    _BLOCKS_PER_THREAD blocks per thread at a time, so the memory held does
+    not grow with the number of blocks.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count_n(n)
     size = block_size(n)
     starts = range(0, trials, size)
 
@@ -152,9 +160,15 @@ def run_blocks(
 
     threads = min(workers, os.cpu_count() or 1, len(starts))
     if threads == 1:
-        return [run(lo) for lo in starts]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, starts))
+        return map(run, starts)
+
+    def pooled() -> Iterator[T]:
+        window = threads * _BLOCKS_PER_THREAD
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for w in range(0, len(starts), window):
+                yield from pool.map(run, starts[w : w + window])
+
+    return pooled()
 
 
 def sample_realization(spec: EnsembleSpec, rng: np.random.Generator) -> Realization:
@@ -196,6 +210,7 @@ def exact_count_pmf(spec: EnsembleSpec, axis: Axis) -> CountPmf:
     the fixed multiset.  I.i.d. mixture: Binomial(n, Σ p·q), since each
     draw-and-measure is one Bernoulli trial with the averaged weight.
     """
+    _check_count_n(spec.n)
     born = born_weights(spec, axis).tolist()
     if isinstance(spec, FixedComposition):
         pmf = np.array([1.0])
@@ -246,12 +261,16 @@ def monte_carlo_count_pmf(
     *,
     workers: int = 1,
 ) -> CountPmf:
-    """Empirical +1-count histogram over independent full experiments."""
+    """Empirical +1-count histogram over independent full experiments.
+
+    Each block's counts are added to the histogram as the block completes,
+    so memory does not grow with `trials`.
+    """
     born = born_weights(spec, axis)
 
     def draw(rng: np.random.Generator, first: int, rows: int) -> np.ndarray:
-        return measure_block(spec, born, rng, rows).sum(axis=1)
+        counts = measure_block(spec, born, rng, rows).sum(axis=1)
+        return np.bincount(counts, minlength=spec.n + 1)
 
-    counts = run_blocks(spec.n, trials, master_seed, draw, workers=workers)
-    hist = np.bincount(np.concatenate(counts), minlength=spec.n + 1)
+    hist = sum(run_blocks(spec.n, trials, master_seed, draw, workers=workers))
     return CountPmf(spec.n, hist / trials)

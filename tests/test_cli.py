@@ -1,9 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from math import comb
 
 import numpy as np
 import pytest
 
+import spinmix
 from spinmix import linalg
 from spinmix.cli import DEFAULT_N, RHO_CAP, main
 
@@ -270,3 +275,50 @@ def test_unknown_arguments_exit_via_argparse(capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+def run_cli_with_address_space_cap(argv):
+    """`python -m spinmix argv` in a child process whose address space (and
+    only its) is limited to 1.5 GB by RLIMIT_AS."""
+
+    def limit():
+        cap = 1536 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(spinmix.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "spinmix", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--ensemble", "S", "--n", "1000000000"],
+    ["pmf", "--ensemble", "fixed:x+*500000000/z-*500000000"],
+    ["distinguish", "--a", "A", "--b", "B", "--n", "1000000000", "--kmax", "1"],
+])
+def test_huge_counts_end_in_one_error_line(argv):
+    done = run_cli_with_address_space_cap(argv)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert "COUNT_N_CAP" in done.stderr
+
+
+def test_huge_n_reduced_state_needs_no_count_arrays():
+    done = run_cli_with_address_space_cap(
+        ["rho", "--ensemble", "A", "--n", "1000000000", "--k", "2"]
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["n"] == 10**9
+
+
+def test_memory_errors_end_in_one_error_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8 GiB")
+
+    monkeypatch.setattr("spinmix.cli.exact_count_pmf", exhausted)
+    code, out, err = run_cli(capsys, "pmf", "--ensemble", "S", "--n", "4")
+    assert code == 1 and out == "" and err == "error: Unable to allocate 8 GiB\n"

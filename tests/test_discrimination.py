@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import spinmix.measurement as measurement
@@ -10,6 +11,7 @@ from spinmix import (
     build_report,
     monte_carlo_discrimination,
     pairwise_trace_distances,
+    parse_ensemble,
     preset_ensemble,
     reduced_density_matrix,
     trace_distance,
@@ -29,6 +31,18 @@ def test_mixtures_along_different_axes_are_identical():
     sx = balanced_mixture(6, X_AXIS)
     for _, d in pairwise_trace_distances(sz, sx, 3):
         assert d <= 1e-12
+
+
+def test_distances_between_complex_states_match_lapack():
+    # A y-polarized component makes the differences complex from k = 2 on,
+    # so these distances run the eigen path through the real embedding.
+    a = parse_ensemble("fixed:y+*3/z-*3")
+    b = parse_ensemble("iid:y+*0.5/z-*0.5", 6)
+    for k, distance in pairwise_trace_distances(a, b, 4):
+        diff = reduced_density_matrix(a, k).matrix - reduced_density_matrix(b, k).matrix
+        assert k == 1 or np.abs(diff.imag).max() > 0.01
+        expected = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+        assert abs(distance - expected) <= 1e-10
 
 
 def test_distance_range_errors():

@@ -143,6 +143,28 @@ def test_eigenvalues_match_lapack(seed, dim):
     assert np.abs(hermitian_eigenvalues(m) - np.linalg.eigvalsh(m)).max() <= 1e-10
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3, 8, 32]),
+    st.sampled_from(["dense", "sparse", "scaled"]),
+)
+@settings(max_examples=40)
+def test_real_matrices_give_the_embedding_spectrum_bit_for_bit(seed, dim, kind):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    if kind == "sparse":
+        a[rng.random((dim, dim)) < 0.7] = 0.0
+    a = a + a.T
+    if kind == "scaled":
+        a *= 1e-8
+    # The complex path: Jacobi on the real symmetric embedding, one copy of each pair.
+    b = np.zeros_like(a)
+    s = np.block([[a, -b], [b, a]])
+    diag = linalg._jacobi_diagonal(0.5 * (s + s.T), linalg.JACOBI_OFF_TOL)
+    diag.sort()
+    assert np.array_equal(hermitian_eigenvalues(a), diag[::2])
+
+
 def test_trace_distance_of_identical_states():
     rho = DensityMatrix(I2 / 2.0, 1)
     assert trace_distance(rho, rho) == 0.0

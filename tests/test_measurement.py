@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import spinmix.measurement as measurement
 from helpers import pair_frequencies, unit_axes
 from spinmix import (
+    COUNT_N_CAP,
     ExperimentRecord,
     IidMixture,
     Realization,
@@ -242,6 +244,54 @@ def test_thread_pool_is_capped_by_cpus_and_blocks(monkeypatch):
     for blocks in (10, 2, 1):
         monte_carlo_count_pmf(spec, Z_AXIS, 16 * blocks, 1, workers=100_000)
     assert sizes == [3, 2]  # a single block runs without a pool
+
+
+def test_results_do_not_depend_on_workers_across_pool_windows(monkeypatch):
+    # 21 blocks of 16 trials run in windows of 8 blocks on two threads.
+    monkeypatch.setattr(measurement.os, "cpu_count", lambda: 2)
+    spec = parse_ensemble("S:x", 4096)
+    trials = 16 * 20 + 3
+    assert 2 * measurement._BLOCKS_PER_THREAD < -(-trials // block_size(spec.n))
+    assert run_experiments(spec, Z_AXIS, trials, 6) == run_experiments(
+        spec, Z_AXIS, trials, 6, workers=2
+    )
+    assert np.array_equal(
+        monte_carlo_count_pmf(spec, Z_AXIS, trials, 6).probabilities,
+        monte_carlo_count_pmf(spec, Z_AXIS, trials, 6, workers=2).probabilities,
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_memory_does_not_grow_with_trials(monkeypatch, workers):
+    # 2·10**6 trials held as one int64 each would take 16 MB, twice over
+    # while concatenated; one block's arrays take about 1 MB.
+    monkeypatch.setattr(measurement.os, "cpu_count", lambda: 2)
+    spec = preset_ensemble("S", 10)
+    tracemalloc.start()
+    try:
+        monte_carlo_count_pmf(spec, Z_AXIS, 2 * 10**6, 5, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_counts_above_the_cap_are_rejected_before_allocating():
+    big = COUNT_N_CAP + 1
+    fixed = parse_ensemble(f"fixed:x+*{big // 2}/z-*{big - big // 2}")
+    calls = (
+        lambda: delta_pmf(big, 0),
+        lambda: binomial_pmf(big, 0.5),
+        lambda: binomial_pmf(big, 1.0),
+        lambda: exact_count_pmf(fixed, X_AXIS),
+        lambda: exact_count_pmf(preset_ensemble("S", big), X_AXIS),
+        lambda: monte_carlo_count_pmf(fixed, X_AXIS, 1, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="COUNT_N_CAP"):
+            call()
+    at_cap = binomial_pmf(COUNT_N_CAP, 0.5)
+    assert abs(pmf_moments(at_cap)[0] - COUNT_N_CAP / 2) <= 1e-6
 
 
 def test_workers_below_one_are_rejected():
