@@ -106,13 +106,17 @@ def partial_trace_last(m: DensityMatrix) -> DensityMatrix:
 def _jacobi_diagonal(s: np.ndarray, off_tol: float, copies: int = 1) -> np.ndarray:
     """Diagonal of a real symmetric matrix after cyclic Jacobi sweeps.
 
-    Rotates (p, q) pairs in row order until the off-diagonal Frobenius norm
-    drops below `off_tol`.  `s` is destroyed.  O(n^3) per sweep; fine for
-    the 2**k spaces handled here, not meant for general use.  With
-    `copies` > 1, `s` stands for that many uncoupled copies of itself on the
-    block diagonal: the skip threshold and the stopping norm are the whole
-    matrix's, so the rotations are exactly those of one block.
+    Symmetrises `s` into a new array, then rotates (p, q) pairs in row order
+    until the off-diagonal Frobenius norm drops below `off_tol`.  The matrix
+    stays exactly symmetric, so each rotation rotates rows p and q once and
+    mirrors them into columns p and q; the 2x2 block takes the values a
+    column rotation followed by a row rotation would give.  O(n^3) per
+    sweep; fine for the 2**k spaces handled here, not meant for general use.
+    With `copies` > 1, `s` stands for that many uncoupled copies of itself
+    on the block diagonal: the skip threshold and the stopping norm are the
+    whole matrix's, so the rotations are exactly those of one block.
     """
+    s = 0.5 * (s + s.T)  # the mirrored update needs exact symmetry
     n = s.shape[0]
     if n == 1:
         return s.diagonal().copy()
@@ -123,23 +127,21 @@ def _jacobi_diagonal(s: np.ndarray, off_tol: float, copies: int = 1) -> np.ndarr
         if off <= off_tol:
             return s.diagonal().copy()
         for p in range(n - 1):
+            row_p = s[p]
             for q in range(p + 1, n):
-                apq = s[p, q]
+                row_q = s[q]
+                apq = row_p[q]
                 if abs(apq) <= skip:
                     continue
-                theta = 0.5 * math.atan2(2.0 * apq, s[q, q] - s[p, p])
+                theta = 0.5 * math.atan2(2.0 * apq, row_q[q] - row_p[p])
                 c = math.cos(theta)
                 sn = math.sin(theta)
-                cp = s[:, p].copy()
-                cq = s[:, q].copy()
-                s[:, p] = c * cp - sn * cq
-                s[:, q] = sn * cp + c * cq
-                rp = s[p, :].copy()
-                rq = s[q, :].copy()
-                s[p, :] = c * rp - sn * rq
-                s[q, :] = sn * rp + c * rq
-                s[p, q] = 0.0
-                s[q, p] = 0.0
+                newp = c * row_p - sn * row_q
+                newq = sn * row_p + c * row_q
+                newp[p], newq[q] = c * newp[p] - sn * newp[q], sn * newq[p] + c * newq[q]
+                newp[q] = newq[p] = 0.0
+                s[p] = s[:, p] = newp
+                s[q] = s[:, q] = newq
     raise RuntimeError("Jacobi sweeps did not converge")
 
 
@@ -162,12 +164,10 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     a = m.real
     b = m.imag
     if not b.any():
-        diag = _jacobi_diagonal(0.5 * (a + a.T), JACOBI_OFF_TOL, copies=2)
+        diag = _jacobi_diagonal(a, JACOBI_OFF_TOL, copies=2)
         diag.sort()
         return diag
-    s = np.block([[a, -b], [b, a]])
-    s = 0.5 * (s + s.T)  # kill the sub-tolerance asymmetry before rotating
-    diag = _jacobi_diagonal(s, JACOBI_OFF_TOL)
+    diag = _jacobi_diagonal(np.block([[a, -b], [b, a]]), JACOBI_OFF_TOL)
     diag.sort()
     return diag[::2].copy()
 

@@ -40,6 +40,11 @@ class Axis:
     def from_vector(cls, ux: float, uy: float, uz: float) -> Axis:
         """Normalize an arbitrary nonzero 3-vector."""
         norm = math.sqrt(ux * ux + uy * uy + uz * uz)
+        if norm == math.inf:
+            # The squares overflowed: rescale by a power of two, which is exact.
+            e = math.frexp(max(abs(ux), abs(uy), abs(uz)))[1]
+            ux, uy, uz = (math.ldexp(u, -e) for u in (ux, uy, uz))
+            norm = math.sqrt(ux * ux + uy * uy + uz * uz)
         if norm < 1e-12:
             raise ValueError("axis vector must be nonzero")
         return cls(ux / norm, uy / norm, uz / norm)

@@ -153,6 +153,40 @@ def composed_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
     return u
 
 
+def reference_jacobi_diagonal(s: np.ndarray, off_tol: float, copies: int = 1) -> np.ndarray:
+    """The cyclic Jacobi loop that rotated columns p, q and then rows p, q of
+    a real symmetric `s` (destroyed), with copies, skip threshold, stopping
+    norm and sweep cap as in spinmix.linalg.  Bit-level oracle for the
+    mirrored-row update of spinmix.linalg._jacobi_diagonal."""
+    n = s.shape[0]
+    if n == 1:
+        return s.diagonal().copy()
+    skip = off_tol / (2.0 * copies * n)
+    for _ in range(100):
+        off = math.sqrt(2.0 * copies * float(np.sum(np.triu(s, 1) ** 2)))
+        if off <= off_tol:
+            return s.diagonal().copy()
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = s[p, q]
+                if abs(apq) <= skip:
+                    continue
+                theta = 0.5 * math.atan2(2.0 * apq, s[q, q] - s[p, p])
+                c = math.cos(theta)
+                sn = math.sin(theta)
+                cp = s[:, p].copy()
+                cq = s[:, q].copy()
+                s[:, p] = c * cp - sn * cq
+                s[:, q] = sn * cp + c * cq
+                rp = s[p, :].copy()
+                rq = s[q, :].copy()
+                s[p, :] = c * rp - sn * rq
+                s[q, :] = sn * rp + c * rq
+                s[p, q] = 0.0
+                s[q, p] = 0.0
+    raise RuntimeError("Jacobi sweeps did not converge")
+
+
 def reference_json_text(value) -> str:
     """The CLI's former per-float JSON writer: every float through
     format(x, ".17g"), arrays first turned into nested lists (complex

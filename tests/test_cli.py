@@ -254,6 +254,16 @@ def test_fixed_literal_takes_n_from_its_counts(capsys):
     assert code == 0 and json.loads(out)["n"] == 10
 
 
+def test_axes_whose_squared_norm_overflows_keep_their_direction(capsys):
+    code, out, err = run_cli(capsys, "pmf", "--n", "4", "--axis=1e308,1e308,0")
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, "pmf", "--n", "4", "--axis=1,1,0")[1]
+    for axis in ("--axis=inf,0,0", "--axis=nan,0,0"):
+        code, out, err = run_cli(capsys, "pmf", "--n", "4", axis)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_inaccurate_eigenvalues_end_in_an_error(capsys, monkeypatch):
     monkeypatch.setattr(linalg, "hermitian_eigenvalues", lambda m: np.array([-1.5, 1.5]))
     code, out, err = run_cli(capsys, "distinguish", "--a", "A", "--b", "B", "--n", "4")

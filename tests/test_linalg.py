@@ -9,6 +9,7 @@ from helpers import (
     particle_vectors,
     random_density,
     random_hermitian,
+    reference_jacobi_diagonal,
 )
 import spinmix.linalg as linalg
 from spinmix import (
@@ -163,6 +164,44 @@ def test_real_matrices_give_the_embedding_spectrum_bit_for_bit(seed, dim, kind):
     diag = linalg._jacobi_diagonal(0.5 * (s + s.T), linalg.JACOBI_OFF_TOL)
     diag.sort()
     assert np.array_equal(hermitian_eigenvalues(a), diag[::2])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3, 8, 32]),
+    st.sampled_from(["dense", "sparse", "scaled"]),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_mirrored_rotations_give_the_column_then_row_spectrum_bit_for_bit(
+    seed, dim, kind, complex_input
+):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim))
+    if complex_input:
+        m = m + 1j * rng.normal(size=(dim, dim))
+    if kind == "sparse":
+        m[rng.random((dim, dim)) < 0.7] = 0.0
+    m = m + m.conj().T
+    if kind == "scaled":
+        m *= 1e-8
+    a, b = m.real, m.imag
+    if complex_input:
+        s = np.block([[a, -b], [b, a]])
+        expected = reference_jacobi_diagonal(0.5 * (s + s.T), linalg.JACOBI_OFF_TOL)
+        expected.sort()
+        expected = expected[::2]
+    else:
+        expected = reference_jacobi_diagonal(0.5 * (a + a.T), linalg.JACOBI_OFF_TOL, copies=2)
+        expected.sort()
+    assert np.array_equal(hermitian_eigenvalues(m), expected)
+
+
+def test_jacobi_leaves_its_input_intact():
+    a = random_hermitian(np.random.default_rng(3), 6).real
+    before = a.copy()
+    linalg._jacobi_diagonal(a, linalg.JACOBI_OFF_TOL)
+    assert np.array_equal(a, before)
 
 
 def test_trace_distance_of_identical_states():

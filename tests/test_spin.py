@@ -128,6 +128,12 @@ def test_axis_label_round_trip():
     )
 
 
+@pytest.mark.parametrize("v", [(1e308, 1e308, 0.0), (1.7e308, -3e307, 1e300), (0.0, 0.0, -1e200)])
+def test_overflowing_axis_vectors_equal_their_mantissas_at_unit_scale(v):
+    e = math.frexp(max(abs(u) for u in v))[1]
+    assert Axis.from_vector(*v) == Axis.from_vector(*(math.ldexp(u, -e) for u in v))
+
+
 def test_axis_requires_unit_norm():
     with pytest.raises(ValueError):
         Axis(1.0, 1.0, 0.0)
