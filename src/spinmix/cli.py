@@ -4,8 +4,9 @@ Subcommands: rho | pmf | distinguish | urn.  All results go to stdout,
 diagnostics to stderr; exit status is 0 exactly when no error occurred.
 JSON encodes complex entries as [re, im] pairs, matrices as row-major
 nested arrays, and floats with 17 significant digits so output is
-byte-identical across reruns and parses back losslessly.  Arrays are
-written one row per `%` call from a row template built once per array.
+byte-identical across reruns and parses back losslessly.  Each distinct
+float of an array is formatted once, and the array is written one row per
+`%` call from a row template built once per array.
 
 `--n` may be omitted: a fixed: literal then takes n from its counts, and
 presets, iid: literals and `urn` use n = 10.  `rho` prints at most
@@ -43,17 +44,29 @@ DEFAULT_N = 10
 N_HELP = f"ensemble size; if omitted, a fixed: literal's total count, else {DEFAULT_N}"
 
 
+def _float_texts(a: np.ndarray) -> list:
+    """format(x, ".17g") of every float of `a`, as nested lists of a's shape.
+
+    Each distinct bit pattern is formatted once; keying on bits rather than
+    values keeps -0.0 apart from 0.0.
+    """
+    flat = np.ascontiguousarray(a, dtype=float).reshape(-1)
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    texts = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+    return texts[inverse].reshape(a.shape).tolist()
+
+
 def _array_text(a: np.ndarray) -> str:
     """A complex matrix as rows of [re, im] cells, or a real vector.
 
-    The row template is built once and each row costs one `%` call;
-    "%.17g" prints every float exactly as format(x, ".17g") does.
+    The floats' texts come from _float_texts; the row template is built once
+    and each row costs one `%` call.
     """
     if np.iscomplexobj(a):
         rows = np.ascontiguousarray(a, dtype=complex).view(float)
-        template = "[" + ", ".join(["[%.17g, %.17g]"] * (rows.shape[1] // 2)) + "]"
-        return "[" + ", ".join(template % tuple(row.tolist()) for row in rows) + "]"
-    return "[" + ", ".join(["%.17g"] * a.shape[0]) % tuple(a.tolist()) + "]"
+        template = "[" + ", ".join(["[%s, %s]"] * (rows.shape[1] // 2)) + "]"
+        return "[" + ", ".join(template % tuple(row) for row in _float_texts(rows)) + "]"
+    return "[" + ", ".join(_float_texts(a)) + "]"
 
 
 def _json_text(value) -> str:
@@ -108,8 +121,8 @@ def _pmf_csv(pmf: CountPmf, empirical: CountPmf | None) -> str:
     if empirical is not None:
         columns.append(empirical.probabilities)
         header += ",empirical"
-    row = "%d" + ",%.17g" * len(columns) + "\n"
-    table = np.column_stack(columns).tolist()
+    row = "%d" + ",%s" * len(columns) + "\n"
+    table = _float_texts(np.column_stack(columns))
     return header + "\n" + "".join(row % (m, *cells) for m, cells in enumerate(table))
 
 

@@ -8,6 +8,7 @@ Statements "in the x basis" are made by explicitly rotating with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,16 @@ class Axis:
     @classmethod
     def from_vector(cls, ux: float, uy: float, uz: float) -> Axis:
         """Normalize an arbitrary nonzero 3-vector."""
-        norm = math.sqrt(ux * ux + uy * uy + uz * uz)
-        if norm == math.inf:
-            # The squares overflowed: rescale by a power of two, which is exact.
+        norm_sq = ux * ux + uy * uy + uz * uz
+        if norm_sq == math.inf or norm_sq < sys.float_info.min:
+            # The squares overflowed or lost bits below the normal range:
+            # rescale by a power of two, which is exact.
             e = math.frexp(max(abs(ux), abs(uy), abs(uz)))[1]
             ux, uy, uz = (math.ldexp(u, -e) for u in (ux, uy, uz))
-            norm = math.sqrt(ux * ux + uy * uy + uz * uz)
-        if norm < 1e-12:
+            norm_sq = ux * ux + uy * uy + uz * uz
+        if norm_sq == 0.0:
             raise ValueError("axis vector must be nonzero")
+        norm = math.sqrt(norm_sq)
         return cls(ux / norm, uy / norm, uz / norm)
 
     def components(self) -> tuple[float, float, float]:

@@ -214,3 +214,16 @@ def reference_json_text(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(reference_json_text(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def reference_axis_from_vector(ux: float, uy: float, uz: float) -> Axis:
+    """The former Axis.from_vector, with its fixed 1e-12 floor on the norm:
+    the bit-level oracle for every vector it accepted."""
+    norm = math.sqrt(ux * ux + uy * uy + uz * uz)
+    if norm == math.inf:
+        e = math.frexp(max(abs(ux), abs(uy), abs(uz)))[1]
+        ux, uy, uz = (math.ldexp(u, -e) for u in (ux, uy, uz))
+        norm = math.sqrt(ux * ux + uy * uy + uz * uz)
+    if norm < 1e-12:
+        raise ValueError("axis vector must be nonzero")
+    return Axis(ux / norm, uy / norm, uz / norm)

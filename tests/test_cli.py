@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -259,6 +260,21 @@ def test_axes_whose_squared_norm_overflows_keep_their_direction(capsys):
     assert code == 0 and err == ""
     assert out == run_cli(capsys, "pmf", "--n", "4", "--axis=1,1,0")[1]
     for axis in ("--axis=inf,0,0", "--axis=nan,0,0"):
+        code, out, err = run_cli(capsys, "pmf", "--n", "4", axis)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_axes_whose_squares_underflow_keep_their_direction(capsys):
+    # Normalizing (m, m, 0) and (1, 1, 0) can differ in the last bit, as
+    # (3, 3, 0) already does, so 1e-200 is compared with its mantissa.
+    mantissa = repr(math.frexp(1e-200)[0])
+    for tiny, unit in (("--axis=1e-200,1e-200,0", f"--axis={mantissa},{mantissa},0"),
+                       ("--axis=1e-13,0,0", "--axis=1,0,0")):
+        code, out, err = run_cli(capsys, "pmf", "--n", "4", tiny)
+        assert code == 0 and err == ""
+        assert out == run_cli(capsys, "pmf", "--n", "4", unit)[1]
+    for axis in ("--axis=0,0,0", "--axis=-0.0,0,-0.0", "--axis=inf,0,0", "--axis=nan,0,0"):
         code, out, err = run_cli(capsys, "pmf", "--n", "4", axis)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

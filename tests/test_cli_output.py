@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from helpers import reference_json_text
-from spinmix.cli import _json_text, main
+from spinmix.cli import _json_text, _pmf_csv, main
+from spinmix.ensembles import CountPmf
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 0.1 + 0.2, 1e308, -1e308, 1.0, -1.0, 0.5]
 
@@ -45,6 +46,34 @@ def test_writer_matches_the_per_float_reference(seed):
         "items": [{"k": 1, "distance": 0.1 + 0.2}],
     }
     assert _json_text(payload) == reference_json_text(payload)
+
+
+def repeat_pool(rng: np.random.Generator) -> np.ndarray:
+    """About 20 values whose texts a writer keyed by value, not by bits,
+    would confuse: both zeros, both smallest subnormals, huge values and
+    values that need all 17 digits."""
+    wide = rng.uniform(0.1, 1.0, 12) * 10.0 ** rng.integers(-300, 300, 12)
+    return np.concatenate([[-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2, -1 / 3], wide])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_writer_matches_the_reference_on_repeated_values(seed):
+    rng = np.random.default_rng(seed)
+    pool = repeat_pool(rng)
+    parts = rng.choice(pool, (64, 64, 2))
+    payload = {"matrix": parts[..., 0] + 1j * parts[..., 1], "vector": rng.choice(pool, 10**4)}
+    assert _json_text(payload) == reference_json_text(payload)
+
+
+def test_pmf_csv_matches_the_per_float_reference_on_repeated_values():
+    pmf = CountPmf(7, np.array([0.5, -0.0, 0.0, 5e-324, 0.25, 0.25, -0.0, 0.0]))
+    empirical = CountPmf(7, np.array([0.0, 0.5, -0.0, 0.5, 5e-324, 0.0, -0.0, 0.0]))
+    lines = _pmf_csv(pmf, empirical).splitlines()
+    assert lines[0] == "count,probability,empirical"
+    assert lines[1:] == [
+        f"{m},{format(float(p), '.17g')},{format(float(e), '.17g')}"
+        for m, (p, e) in enumerate(zip(pmf.probabilities, empirical.probabilities))
+    ]
 
 
 GOLDEN = [

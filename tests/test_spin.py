@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import pair_state, pair_state_cross_expansion, pure_states, signs, unit_axes
+from helpers import (
+    pair_state,
+    pair_state_cross_expansion,
+    pure_states,
+    reference_axis_from_vector,
+    signs,
+    unit_axes,
+)
 from spinmix import (
     Axis,
     PureState,
@@ -132,6 +140,38 @@ def test_axis_label_round_trip():
 def test_overflowing_axis_vectors_equal_their_mantissas_at_unit_scale(v):
     e = math.frexp(max(abs(u) for u in v))[1]
     assert Axis.from_vector(*v) == Axis.from_vector(*(math.ldexp(u, -e) for u in v))
+
+
+@pytest.mark.parametrize(
+    "v", [(1e-200, 1e-200, 0.0), (5e-324, -5e-324, 1e-320), (0.0, -1e-160, 0.0)]
+)
+def test_underflowing_axis_vectors_equal_their_mantissas_at_unit_scale(v):
+    e = math.frexp(max(abs(u) for u in v))[1]
+    assert Axis.from_vector(*v) == Axis.from_vector(*(math.ldexp(u, -e) for u in v))
+
+
+def test_only_the_zero_vector_has_no_direction():
+    assert Axis.from_vector(1e-13, 0.0, 0.0) == X_AXIS
+    assert Axis.from_vector(0.0, -5e-324, 0.0) == Axis(0.0, -1.0, 0.0)
+    for v in ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)):
+        with pytest.raises(ValueError, match="nonzero"):
+            Axis.from_vector(*v)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+tiny = st.floats(-1e-10, 1e-10)
+
+
+@given(st.tuples(*[st.one_of(finite, tiny)] * 3))
+@settings(max_examples=300)
+def test_every_vector_accepted_before_keeps_its_bits(v):
+    try:
+        expected = reference_axis_from_vector(*v)
+    except ValueError:
+        return
+    assert [repr(u) for u in Axis.from_vector(*v).components()] == [
+        repr(u) for u in expected.components()
+    ]
 
 
 def test_axis_requires_unit_norm():
