@@ -1,16 +1,17 @@
 """Ensemble specifications and their exact k-particle reduced density matrices.
 
-Two preparation disciplines are distinguished:
+Two preparation disciplines are distinguished, and each has one spec class
+that holds everything depending on it: the composition marginal, the
+k-particle matrix, the random type draw of a realization, the +1-count pmf
+and the literal prefix.  The public functions (composition_distribution,
+reduced_density_matrix, ensemble_literal, and measurement's exact_count_pmf
+and samplers) check their arguments and hand the rest to those methods.
 
 * :class:`FixedComposition` — a multiset of pure states with exact per-type
-  counts.  Selecting particles from it is sampling without replacement, so
-  an ordered type sequence carries a falling-factorial weight and the
-  composition of any prepared batch is deterministic (a delta distribution).
+  counts.  Selecting particles from it is sampling without replacement.
 
 * :class:`IidMixture` — every member is drawn independently from a fixed
-  distribution over pure states.  Selections are i.i.d., the k-particle
-  reduced state is an exact tensor power of the one-particle state, and the
-  composition of a batch fluctuates binomially.
+  distribution over pure states.
 
 The half-and-half constructors along the x and z axes build the two
 fixed ensembles whose one-particle states coincide (both are ½I) while
@@ -61,14 +62,23 @@ def _check_distinct(states: tuple[PureState, ...]) -> None:
                 raise ValueError(f"components {i} and {j} are the same state up to phase")
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int; floats, strings and bools are not integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FixedComposition:
-    """Multiset of pure states with exact nonnegative counts summing to n >= 1."""
+    """Multiset of pure states with exact nonnegative integer counts summing
+    to n >= 1."""
 
     components: tuple[tuple[PureState, int], ...]
+    _prefix = "fixed"
 
     def __post_init__(self) -> None:
-        comps = tuple((state, int(count)) for state, count in self.components)
+        comps = tuple((state, _integer(count, "count")) for state, count in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("at least one component required")
@@ -83,6 +93,54 @@ class FixedComposition:
     def n(self) -> int:
         return sum(c for _, c in self.components)
 
+    def _composition(self, i: int) -> CountPmf:
+        """Every batch holds exactly the given count: a delta."""
+        return delta_pmf(self.n, self.components[i][1])
+
+    def _reduced_matrix(self, k: int) -> np.ndarray:
+        """Ordered type sequences carry a falling-factorial weight.  The sum of
+        weight times projector product is evaluated recursively over suffixes,
+        memoized on the remaining counts, which visits far fewer states than
+        the m**k raw sequences."""
+        projectors = [state_projector(s) for s, _ in self.components]
+        memo: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+
+        def suffix_state(counts: tuple[int, ...], depth: int) -> np.ndarray:
+            if depth == 0:
+                return np.array([[1.0 + 0.0j]])
+            key = (counts, depth)
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            total = sum(counts)
+            dim = 2**depth
+            acc = np.zeros((dim, dim), dtype=complex)
+            for i, c in enumerate(counts):
+                if c == 0:
+                    continue
+                rest = counts[:i] + (c - 1,) + counts[i + 1 :]
+                acc += (c / total) * np.kron(projectors[i], suffix_state(rest, depth - 1))
+            memo[key] = acc
+            return acc
+
+        return suffix_state(tuple(c for _, c in self.components), k)
+
+    def _draw_types(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """Component index of every particle in `rows` realizations, shape
+        (rows, n): each row is the exact multiset in uniformly random order,
+        so ordered outcomes keep the exchangeable without-replacement law."""
+        pool = np.repeat(np.arange(len(self.components)), [c for _, c in self.components])
+        types = np.tile(pool, (rows, 1))
+        return rng.permuted(types, axis=1, out=types)
+
+    def _count_pmf(self, born: list[float]) -> CountPmf:
+        """+1-count pmf from each component's Born weight q: the convolution
+        of Binomial(count, q), as outcomes are independent given the multiset."""
+        pmf = np.array([1.0])
+        for (_, count), q in zip(self.components, born):
+            pmf = np.convolve(pmf, binomial_pmf(count, q).probabilities)
+        return CountPmf(self.n, pmf)
+
 
 @dataclass(frozen=True)
 class IidMixture:
@@ -90,12 +148,14 @@ class IidMixture:
 
     components: tuple[tuple[PureState, float], ...]
     n: int
+    _prefix = "iid"
 
     def __post_init__(self) -> None:
         comps = tuple((state, float(p)) for state, p in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("at least one component required")
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         total = 0.0
@@ -106,6 +166,29 @@ class IidMixture:
         if not abs(total - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         _check_distinct(tuple(s for s, _ in comps))
+
+    def _composition(self, i: int) -> CountPmf:
+        """The count fluctuates: Binomial(n, p_i)."""
+        return binomial_pmf(self.n, self.components[i][1])
+
+    def _reduced_matrix(self, k: int) -> np.ndarray:
+        """Selections are i.i.d.: the k-fold Kronecker power of ρ₁ = Σ p·P."""
+        rho1 = np.zeros((2, 2), dtype=complex)
+        for state, p in self.components:
+            rho1 += p * state_projector(state)
+        return kron_power(rho1, k)
+
+    def _draw_types(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """Component index of every particle in `rows` realizations, shape
+        (rows, n), each by inverse CDF of a uniform."""
+        cdf = np.cumsum([p for _, p in self.components])
+        return np.searchsorted(cdf[:-1], rng.random((rows, self.n)), side="right")
+
+    def _count_pmf(self, born: list[float]) -> CountPmf:
+        """Binomial(n, Σ p·q), q each component's Born weight: every
+        draw-and-measure is one Bernoulli trial with the averaged weight."""
+        q_bar = sum(p * q for (_, p), q in zip(self.components, born))
+        return binomial_pmf(self.n, min(1.0, max(0.0, q_bar)))
 
 
 EnsembleSpec = FixedComposition | IidMixture
@@ -242,17 +325,11 @@ def total_variation(p: CountPmf, q: CountPmf) -> float:
 
 
 def composition_distribution(spec: EnsembleSpec, component_index: int) -> CountPmf:
-    """Distribution of how many of the n prepared particles carry the given type.
-
-    Deterministic counts give a delta; independent draws give a binomial in
-    the component's probability.
-    """
+    """Distribution of how many of the n prepared particles carry the given type."""
     m = len(spec.components)
     if not 0 <= component_index < m:
         raise ValueError(f"component_index {component_index} outside 0..{m - 1}")
-    if isinstance(spec, FixedComposition):
-        return delta_pmf(spec.n, spec.components[component_index][1])
-    return binomial_pmf(spec.n, spec.components[component_index][1])
+    return spec._composition(component_index)
 
 
 def urn_composition(spec: EnsembleSpec) -> CountPmf:
@@ -271,51 +348,16 @@ def reduced_density_matrix(
     *,
     cap: int = PARTICLE_CAP,
 ) -> DensityMatrix:
-    """Exact state of k particles selected from the ensemble.
-
-    Sum over ordered type sequences of the sequence weight times the tensor
-    product of component projectors.  For an i.i.d. mixture this collapses
-    to the k-fold Kronecker power of the one-particle state.  For a fixed
-    composition the sum is evaluated recursively over suffixes, memoized on
-    the remaining counts, which visits far fewer states than the m**k raw
-    sequences.
-    """
+    """Exact state of k of the ensemble's n particles: the sum over ordered
+    type sequences of the sequence weight times the tensor product of
+    component projectors, in the closed form of the spec's kind."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > cap:
         raise ValueError(f"k = {k} exceeds the particle cap {cap}")
-    projectors = [state_projector(s) for s, _ in spec.components]
-
-    if isinstance(spec, IidMixture):
-        rho1 = np.zeros((2, 2), dtype=complex)
-        for proj, (_, p) in zip(projectors, spec.components):
-            rho1 += p * proj
-        return DensityMatrix(kron_power(rho1, k), k)
-
     if k > spec.n:
-        raise ValueError(f"cannot select k = {k} of n = {spec.n} without replacement")
-    memo: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-
-    def suffix_state(counts: tuple[int, ...], depth: int) -> np.ndarray:
-        if depth == 0:
-            return np.array([[1.0 + 0.0j]])
-        key = (counts, depth)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = sum(counts)
-        dim = 2**depth
-        acc = np.zeros((dim, dim), dtype=complex)
-        for i, c in enumerate(counts):
-            if c == 0:
-                continue
-            rest = counts[:i] + (c - 1,) + counts[i + 1 :]
-            acc += (c / total) * np.kron(projectors[i], suffix_state(rest, depth - 1))
-        memo[key] = acc
-        return acc
-
-    counts = tuple(c for _, c in spec.components)
-    return DensityMatrix(suffix_state(counts, k), k)
+        raise ValueError(f"cannot select k = {k} of the ensemble's n = {spec.n} particles")
+    return DensityMatrix(spec._reduced_matrix(k), k)
 
 
 # --------------------------------------------------------------------------
@@ -365,30 +407,21 @@ def parse_ensemble(text: str, n: int | None = None) -> EnsembleSpec:
         raise ValueError(f"cannot parse ensemble {text!r}: expected A, B, S, fixed:... or iid:...")
     if not colon or not tail.strip():
         raise ValueError(f"ensemble literal {text!r} has no entries")
-    entries = [e for e in tail.split("/") if e.strip()]
-    parsed = [_parse_entry(e) for e in entries]
-    if kind == "fixed":
-        comps = []
-        for state, value in parsed:
-            try:
-                count = int(value)
-            except ValueError:
-                raise ValueError(f"fixed entry count {value!r} is not an integer") from None
-            comps.append((state, count))
-        spec = FixedComposition(tuple(comps))
-        if n is not None and n != spec.n:
-            raise ValueError(f"n = {n} does not match the literal's total count {spec.n}")
-        return spec
-    if n is None:
+    parsed = [_parse_entry(e) for e in tail.split("/") if e.strip()]
+    if kind == "iid" and n is None:
         raise ValueError("iid literals need n (the number of draws)")
+    value_of, what = ((int, "count {!r} is not an integer") if kind == "fixed"
+                      else (float, "probability {!r} is not a number"))
     comps = []
     for state, value in parsed:
         try:
-            prob = float(value)
+            comps.append((state, value_of(value)))
         except ValueError:
-            raise ValueError(f"iid entry probability {value!r} is not a number") from None
-        comps.append((state, prob))
-    return IidMixture(tuple(comps), n)
+            raise ValueError(f"{kind} entry " + what.format(value)) from None
+    spec = FixedComposition(tuple(comps)) if kind == "fixed" else IidMixture(tuple(comps), n)
+    if n is not None and n != spec.n:
+        raise ValueError(f"n = {n} does not match the literal's total count {spec.n}")
+    return spec
 
 
 def _entry_label(state: PureState) -> str:
@@ -404,8 +437,4 @@ def _entry_label(state: PureState) -> str:
 
 def ensemble_literal(spec: EnsembleSpec) -> str:
     """Canonical literal for a spec; parse_ensemble inverts it up to float noise."""
-    if isinstance(spec, FixedComposition):
-        entries = "/".join(f"{_entry_label(s)}*{c}" for s, c in spec.components)
-        return f"fixed:{entries}"
-    entries = "/".join(f"{_entry_label(s)}*{p!r}" for s, p in spec.components)
-    return f"iid:{entries}"
+    return spec._prefix + ":" + "/".join(f"{_entry_label(s)}*{v!r}" for s, v in spec.components)

@@ -1,6 +1,9 @@
 """Simulated experiments: prepare a realization, measure every particle once
 along a single global axis, and collect the +1-outcome count.
 
+Nothing here depends on the spec's kind: the particle types of a realization
+and the exact count pmf come from the spec's own methods (ensembles.py).
+
 Randomness contract
 -------------------
 Monte Carlo trials run in blocks of B = ``block_size(n)`` = max(1, 2**16 // n)
@@ -26,14 +29,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .ensembles import (
-    CountPmf,
-    EnsembleSpec,
-    FixedComposition,
-    _check_count_n,
-    binomial_pmf,
-    ensemble_literal,
-)
+from .ensembles import CountPmf, EnsembleSpec, _check_count_n, ensemble_literal
 from .spin import Axis, PureState, transition_probability
 
 _SEED_LIMIT = 2**64
@@ -87,21 +83,6 @@ class ExperimentRecord:
             raise ValueError("plus_count does not match the outcomes")
 
 
-def _draw_types(spec: EnsembleSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Component index of every particle in `rows` realizations, shape (rows, n).
-
-    Fixed composition: each row is its exact multiset in uniformly random
-    order, so ordered outcomes keep the exchangeable without-replacement law.
-    I.i.d. mixture: each particle's component by inverse CDF of a uniform.
-    """
-    if isinstance(spec, FixedComposition):
-        pool = np.repeat(np.arange(len(spec.components)), [c for _, c in spec.components])
-        types = np.tile(pool, (rows, 1))
-        return rng.permuted(types, axis=1, out=types)
-    cdf = np.cumsum([p for _, p in spec.components])
-    return np.searchsorted(cdf[:-1], rng.random((rows, spec.n)), side="right")
-
-
 def _draw_hits(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
     """One Bernoulli per particle against its Born weight; True means +1."""
     return rng.random(weights.shape) < weights
@@ -127,7 +108,7 @@ def measure_block(
 ) -> np.ndarray:
     """Outcomes of `rows` full experiments (fresh realization, then
     measurement), shape (rows, n), True for +1; `born` is born_weights(spec, axis)."""
-    return _draw_hits(rng, born[_draw_types(spec, rng, rows)])
+    return _draw_hits(rng, born[spec._draw_types(rng, rows)])
 
 
 def run_blocks(
@@ -172,10 +153,9 @@ def run_blocks(
 
 
 def sample_realization(spec: EnsembleSpec, rng: np.random.Generator) -> Realization:
-    """Fixed composition: its exact multiset in uniformly random order.
-    I.i.d. mixture: n independent component draws."""
+    """One realization, its particle types drawn by the spec's own law."""
     states = [state for state, _ in spec.components]
-    return Realization(tuple(states[i] for i in _draw_types(spec, rng, 1)[0]))
+    return Realization(tuple(states[i] for i in spec._draw_types(rng, 1)[0]))
 
 
 def measure_realization(
@@ -203,22 +183,10 @@ def measure_realization(
 
 
 def exact_count_pmf(spec: EnsembleSpec, axis: Axis) -> CountPmf:
-    """Exact distribution of the +1-outcome count over the whole ensemble.
-
-    Fixed composition: the convolution over components of Binomial(count,
-    q) with q the component's Born weight — outcomes are independent given
-    the fixed multiset.  I.i.d. mixture: Binomial(n, Σ p·q), since each
-    draw-and-measure is one Bernoulli trial with the averaged weight.
-    """
+    """Exact distribution of the +1-outcome count over the whole ensemble,
+    from the Born weight of each component along `axis`."""
     _check_count_n(spec.n)
-    born = born_weights(spec, axis).tolist()
-    if isinstance(spec, FixedComposition):
-        pmf = np.array([1.0])
-        for (_, count), q in zip(spec.components, born):
-            pmf = np.convolve(pmf, binomial_pmf(count, q).probabilities)
-        return CountPmf(spec.n, pmf)
-    q_bar = sum(p * q for (_, p), q in zip(spec.components, born))
-    return binomial_pmf(spec.n, min(1.0, max(0.0, q_bar)))
+    return spec._count_pmf(born_weights(spec, axis).tolist())
 
 
 def pmf_moments(pmf: CountPmf) -> tuple[float, float]:

@@ -219,6 +219,13 @@ def test_error_paths_exit_nonzero(capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ensemble", ["S", "A", "iid:z+*0.5/z-*0.5", "fixed:x+*1/x-*1"])
+def test_rho_rejects_more_particles_than_the_ensemble_holds(capsys, ensemble):
+    code, out, err = run_cli(capsys, "rho", "--ensemble", ensemble, "--n", "2", "--k", "3")
+    assert code == 1 and out == ""
+    assert err == "error: cannot select k = 3 of the ensemble's n = 2 particles\n"
+
+
 def test_exact_pmf_beyond_float_binomial_coefficients(capsys):
     code, out, err = run_cli(capsys, "pmf", "--ensemble", "S", "--n", "2000")
     assert code == 0 and err == ""

@@ -105,6 +105,34 @@ def test_spec_validation():
         IidMixture(((up, 0.5), (down, 0.5)), 0)
 
 
+@pytest.mark.parametrize("count", [2.7, 2.0, "3", True, None, np.float64(2.0)])
+def test_fixed_counts_must_be_integers(count):
+    with pytest.raises(ValueError, match="not an integer"):
+        FixedComposition(((spinor(Z_AXIS, +1), count), (spinor(Z_AXIS, -1), 1)))
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, "4", True, None])
+def test_iid_n_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="not an integer"):
+        IidMixture(((spinor(Z_AXIS, +1), 0.5), (spinor(Z_AXIS, -1), 0.5)), n)
+    if isinstance(n, float):
+        with pytest.raises(ValueError, match="not an integer"):
+            make_urn(n)
+        with pytest.raises(ValueError, match="not an integer"):
+            make_urn(5, n)
+
+
+def test_numpy_integer_counts_and_n_are_plain_ints():
+    up, down = spinor(Z_AXIS, +1), spinor(Z_AXIS, -1)
+    fixed = FixedComposition(((up, np.int64(3)), (down, np.uint8(1))))
+    assert fixed == FixedComposition(((up, 3), (down, 1)))
+    assert all(type(c) is int for _, c in fixed.components)
+    mixture = IidMixture(((up, 0.5), (down, 0.5)), np.int32(4))
+    assert mixture == balanced_mixture(4, Z_AXIS) and type(mixture.n) is int
+    assert ensemble_literal(fixed) == "fixed:z+*3/z-*1"
+    assert ensemble_literal(mixture) == "iid:z+*0.5/z-*0.5"
+
+
 # ---------------------------------------------------------------------------
 # Composition distributions and the urn
 # ---------------------------------------------------------------------------
@@ -250,6 +278,11 @@ def test_reduced_matrix_range_errors():
         reduced_density_matrix(spec, 5)  # k > n for a fixed composition
     with pytest.raises(ValueError):
         reduced_density_matrix(balanced_mixture(20, Z_AXIS), 13)  # over the cap
+
+
+def test_mixture_reduced_matrix_takes_at_most_n_particles():
+    with pytest.raises(ValueError, match="cannot select k = 3 of the ensemble's n = 2"):
+        reduced_density_matrix(balanced_mixture(2, Z_AXIS), 3)
 
 
 @pytest.mark.parametrize("preset", ["A", "B"])

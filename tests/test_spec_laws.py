@@ -1,0 +1,149 @@
+"""Property tests over random m-component specs of both kinds.
+
+Each spec kind carries its own law: reduced matrices, count pmfs and
+composition marginals.  These properties pin those laws on random specs
+(1-4 components, n <= 8, k <= 4) against raw-numpy oracles and against each
+other, beyond the presets the other tests use.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import pure_states, unit_axes
+from spinmix import (
+    X_AXIS,
+    Y_AXIS,
+    Z_AXIS,
+    FixedComposition,
+    IidMixture,
+    composition_distribution,
+    ensemble_literal,
+    exact_count_pmf,
+    parse_ensemble,
+    partial_trace_last,
+    pmf_moments,
+    reduced_density_matrix,
+)
+
+PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+EXAMPLES = 30
+
+
+def bloch(state) -> np.ndarray:
+    v = state.vector
+    return np.array([np.vdot(v, s @ v).real for s in PAULI])
+
+
+@st.composite
+def distinct_states(draw) -> list:
+    states = draw(st.lists(pure_states(), min_size=1, max_size=4))
+    vectors = [bloch(s) for s in states]
+    assume(all(np.abs(vectors[i] - vectors[j]).max() > 1e-3
+               for i in range(len(vectors)) for j in range(i)))
+    return states
+
+
+@st.composite
+def fixed_specs(draw) -> FixedComposition:
+    states = draw(distinct_states())
+    top = 8 // len(states)
+    counts = draw(st.lists(st.integers(0, top), min_size=len(states), max_size=len(states)))
+    assume(sum(counts) >= 1)
+    return FixedComposition(tuple(zip(states, counts)))
+
+
+@st.composite
+def iid_specs(draw) -> IidMixture:
+    states = draw(distinct_states())
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(states), max_size=len(states)))
+    total = sum(weights)
+    assume(total > 0.01)
+    return IidMixture(tuple(zip(states, (w / total for w in weights))), draw(st.integers(1, 8)))
+
+
+specs = st.one_of(fixed_specs(), iid_specs())
+
+
+def weights(spec) -> np.ndarray:
+    """c_i / n or p_i: the one-particle weight of each component."""
+    return np.array([v for _, v in spec.components], dtype=float) / (
+        spec.n if isinstance(spec, FixedComposition) else 1.0)
+
+
+def rho1_oracle(spec) -> np.ndarray:
+    return sum(w * np.outer(s.vector, s.vector.conj())
+               for w, (s, _) in zip(weights(spec), spec.components))
+
+
+def plus_weights(spec, axis) -> np.ndarray:
+    """Born weight q_i = (1 + b_i·u) / 2 of a +1 outcome for each component."""
+    u = np.array([axis.ux, axis.uy, axis.uz])
+    return np.array([(1.0 + bloch(s) @ u) / 2.0 for s, _ in spec.components])
+
+
+@given(specs)
+@settings(max_examples=EXAMPLES)
+def test_one_particle_state_is_the_weighted_projector_sum(spec):
+    rho1 = reduced_density_matrix(spec, 1).matrix
+    assert np.abs(rho1 - rho1_oracle(spec)).max() <= 1e-12
+
+
+@given(specs)
+@settings(max_examples=EXAMPLES)
+def test_tracing_out_a_particle_gives_the_smaller_reduced_state(spec):
+    previous = reduced_density_matrix(spec, 1)
+    for k in range(2, min(4, spec.n) + 1):
+        current = reduced_density_matrix(spec, k)
+        assert np.abs(partial_trace_last(current).matrix - previous.matrix).max() <= 1e-12
+        previous = current
+
+
+@given(specs, unit_axes())
+@settings(max_examples=EXAMPLES)
+def test_count_pmf_moments_follow_the_spec_law(spec, axis):
+    pmf = exact_count_pmf(spec, axis)
+    q = plus_weights(spec, axis)
+    if isinstance(spec, FixedComposition):
+        c = np.array([c for _, c in spec.components], dtype=float)
+        mean, variance = c @ q, c @ (q * (1.0 - q))
+    else:
+        q_bar = weights(spec) @ q
+        mean, variance = spec.n * q_bar, spec.n * q_bar * (1.0 - q_bar)
+    assert abs(pmf.probabilities.sum() - 1.0) <= 1e-12
+    got_mean, got_variance = pmf_moments(pmf)
+    assert abs(got_mean - mean) <= 1e-9 and abs(got_variance - variance) <= 1e-9
+
+
+@given(specs)
+@settings(max_examples=EXAMPLES)
+def test_composition_mean_is_the_count_or_n_times_the_probability(spec):
+    for i, w in enumerate(weights(spec)):
+        mean, _ = pmf_moments(composition_distribution(spec, i))
+        assert abs(mean - spec.n * w) <= 1e-9
+
+
+@given(specs)
+@settings(max_examples=EXAMPLES)
+def test_literal_round_trips(spec):
+    literal = ensemble_literal(spec)
+    back = parse_ensemble(literal, spec.n)
+    assert type(back) is type(spec) and back.n == spec.n
+    assert [v for _, v in back.components] == [v for _, v in spec.components]
+    entries = literal.partition(":")[2].split("/")
+    for entry, (s, _), (t, _) in zip(entries, spec.components, back.components):
+        # A state within 1e-9 of ±x, ±y or ±z is labelled by that axis's name.
+        tolerance = 1e-12 if entry.startswith("(") else 1e-9
+        assert np.abs(bloch(s) - bloch(t)).max() <= tolerance
+
+
+@given(fixed_specs(), unit_axes())
+@settings(max_examples=EXAMPLES)
+def test_fixed_and_matching_mixture_share_one_particle_state_and_count_mean(fixed, axis):
+    mixture = IidMixture(tuple((s, c / fixed.n) for s, c in fixed.components), fixed.n)
+    rho_fixed = reduced_density_matrix(fixed, 1).matrix
+    assert np.abs(rho_fixed - reduced_density_matrix(mixture, 1).matrix).max() <= 1e-12
+    for u in (X_AXIS, Y_AXIS, Z_AXIS, axis):
+        fixed_mean, _ = pmf_moments(exact_count_pmf(fixed, u))
+        mixture_mean, _ = pmf_moments(exact_count_pmf(mixture, u))
+        assert abs(fixed_mean - mixture_mean) <= 1e-9
