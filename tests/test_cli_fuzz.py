@@ -151,10 +151,10 @@ def valid_ensemble(n: int):
                      valid_literal(n))
 
 
-def n_options(n: int, specs: list[str]) -> list[str]:
-    """--n, which may be left out when every spec then resolves to n."""
+def n_options(n: int, specs: list[str], omit: bool) -> list[str]:
+    """--n, left out when asked to and every spec then resolves to n."""
     resolves = all(s.startswith("fixed:") or n == DEFAULT_N for s in specs)
-    return [] if resolves and n % 3 == 0 else [f"--n={n}"]
+    return [] if omit and resolves else [f"--n={n}"]
 
 
 def valid_sampling():
@@ -171,7 +171,7 @@ def valid_argvs(draw) -> list[str]:
         return (["urn", f"--n={n}"] + ([] if black is None else [f"--black={black}"])
                 + [f"--format={draw(st.sampled_from(['json', 'csv']))}"] + draw(valid_sampling()))
     specs = [draw(valid_ensemble(n)) for _ in range(2 if command == "distinguish" else 1)]
-    argv = [command] + n_options(n, specs)
+    argv = [command] + n_options(n, specs, draw(st.booleans()))
     if command == "rho":
         return argv + [f"--ensemble={specs[0]}", f"--k={draw(st.integers(1, min(n, 4)))}",
                        f"--basis={draw(st.sampled_from('zx'))}"]
