@@ -16,10 +16,11 @@ import numpy as np
 from .ensembles import (
     EnsembleSpec,
     ensemble_literal,
+    exchangeable_blocks,
     reduced_density_matrix,
     total_variation,
 )
-from .linalg import PARTICLE_CAP, trace_distance
+from .linalg import PARTICLE_CAP, block_trace_distance, trace_distance
 from .measurement import born_weights, exact_count_pmf, measure_block, run_blocks
 from .spin import Axis
 
@@ -56,14 +57,27 @@ def pairwise_trace_distances(
     b: EnsembleSpec,
     k_max: int,
 ) -> list[tuple[int, float]]:
-    """trace_distance(ρ_k of a, ρ_k of b) for k = 1..k_max."""
+    """Trace distance of ρ_k of a and ρ_k of b for k = 1..k_max: from the
+    exchangeable blocks when neither spec has more than two components,
+    else from the dense 2**k matrices."""
     limit = min(a.n, b.n, PARTICLE_CAP)
     if not 1 <= k_max <= limit:
         raise ValueError(f"k_max {k_max} outside 1..{limit}")
-    return [
-        (k, trace_distance(reduced_density_matrix(a, k), reduced_density_matrix(b, k)))
-        for k in range(1, k_max + 1)
-    ]
+    two_components = len(a.components) <= 2 and len(b.components) <= 2
+    distance = _block_distance if two_components else _dense_distance
+    return [(k, distance(a, b, k)) for k in range(1, k_max + 1)]
+
+
+def _block_distance(a: EnsembleSpec, b: EnsembleSpec, k: int) -> float:
+    return block_trace_distance(
+        (d, block_a - block_b)
+        for (_, d, block_a), (_, _, block_b) in zip(exchangeable_blocks(a, k),
+                                                    exchangeable_blocks(b, k))
+    )
+
+
+def _dense_distance(a: EnsembleSpec, b: EnsembleSpec, k: int) -> float:
+    return trace_distance(reduced_density_matrix(a, k), reduced_density_matrix(b, k))
 
 
 def bayes_success_from_counts(a: EnsembleSpec, b: EnsembleSpec, axis: Axis) -> float:

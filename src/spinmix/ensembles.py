@@ -2,10 +2,11 @@
 
 Two preparation disciplines are distinguished, and each has one spec class
 that holds everything depending on it: the composition marginal, the
-k-particle matrix, the random type draw of a realization, the +1-count pmf
-and the literal prefix.  The public functions (composition_distribution,
-reduced_density_matrix, ensemble_literal, and measurement's exact_count_pmf
-and samplers) check their arguments and hand the rest to those methods.
+k-particle matrix, the k-draw weight, the random type draw of a
+realization, the +1-count pmf and the literal prefix.  The public functions
+(composition_distribution, reduced_density_matrix, exchangeable_blocks,
+ensemble_literal, and measurement's exact_count_pmf and samplers) check
+their arguments and hand the rest to those methods.
 
 * :class:`FixedComposition` — a multiset of pure states with exact per-type
   counts.  Selecting particles from it is sampling without replacement.
@@ -22,7 +23,7 @@ that realizes the unpolarized state as a proper statistical mixture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "composition_distribution",
     "delta_pmf",
     "ensemble_literal",
+    "exchangeable_blocks",
     "make_urn",
     "parse_ensemble",
     "preset_ensemble",
@@ -92,6 +94,21 @@ class FixedComposition:
     @property
     def n(self) -> int:
         return sum(c for _, c in self.components)
+
+    def draw_weight(self, counts: tuple[int, ...]) -> float:
+        """w_k(c): probability of one given ordered sequence of k draws
+        without replacement holding counts[i] particles of type i,
+        Π(n_i)_{c_i} / (n)_k.  Built as a product of ratios, since falling
+        factorials such as (200)_200 overflow a float."""
+        weight = 1.0
+        left = self.n
+        for (_, n_i), c in zip(self.components, counts, strict=True):
+            if c > n_i:
+                return 0.0
+            for t in range(c):
+                weight *= (n_i - t) / left
+                left -= 1
+        return weight
 
     def _composition(self, i: int) -> CountPmf:
         """Every batch holds exactly the given count: a delta."""
@@ -167,6 +184,11 @@ class IidMixture:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         _check_distinct(tuple(s for s, _ in comps))
 
+    def draw_weight(self, counts: tuple[int, ...]) -> float:
+        """w_k(c): probability of one given ordered sequence of k independent
+        draws holding counts[i] particles of type i, Π p_i^{c_i}."""
+        return prod(p**c for (_, p), c in zip(self.components, counts, strict=True))
+
     def _composition(self, i: int) -> CountPmf:
         """The count fluctuates: Binomial(n, p_i)."""
         return binomial_pmf(self.n, self.components[i][1])
@@ -196,6 +218,7 @@ EnsembleSpec = FixedComposition | IidMixture
 
 def balanced_fixed(n: int, axis: Axis) -> FixedComposition:
     """Exactly n/2 particles polarized up and n/2 down along `axis`; n even."""
+    n = _integer(n, "n")
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
     half = n // 2
@@ -204,6 +227,7 @@ def balanced_fixed(n: int, axis: Axis) -> FixedComposition:
 
 def balanced_mixture(n: int, axis: Axis) -> IidMixture:
     """n independent draws, up or down along `axis` with probability ½ each."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return IidMixture(((spinor(axis, +1), 0.5), (spinor(axis, -1), 0.5)), n)
@@ -229,12 +253,14 @@ def make_urn(n: int, n_black: int | None = None) -> EnsembleSpec:
     mixing).  Without it, every ball is black or white with probability ½
     (random mixing).
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     black = spinor(Z_AXIS, +1)
     white = spinor(Z_AXIS, -1)
     if n_black is None:
         return IidMixture(((black, 0.5), (white, 0.5)), n)
+    n_black = _integer(n_black, "n_black")
     if not 0 <= n_black <= n:
         raise ValueError(f"n_black {n_black} outside 0..{n}")
     return FixedComposition(((black, n_black), (white, n - n_black)))
@@ -351,13 +377,67 @@ def reduced_density_matrix(
     """Exact state of k of the ensemble's n particles: the sum over ordered
     type sequences of the sequence weight times the tensor product of
     component projectors, in the closed form of the spec's kind."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if k > cap:
         raise ValueError(f"k = {k} exceeds the particle cap {cap}")
+    _check_draws(spec, k)
+    return DensityMatrix(spec._reduced_matrix(k), k)
+
+
+def _check_draws(spec: EnsembleSpec, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > spec.n:
         raise ValueError(f"cannot select k = {k} of the ensemble's n = {spec.n} particles")
-    return DensityMatrix(spec._reduced_matrix(k), k)
+
+
+def _polynomial_powers(v: np.ndarray, k: int) -> list[np.ndarray]:
+    """Coefficients of (v₀ + v₁Y)^a in ascending powers of Y, for a = 0..k."""
+    powers = [np.ones(1, dtype=complex)]
+    for _ in range(k):
+        powers.append(np.convolve(powers[-1], v))
+    return powers
+
+
+def exchangeable_blocks(spec: EnsembleSpec, k: int) -> list[tuple[int, int, np.ndarray]]:
+    """The k-particle state of a spec with one or two components in block
+    form, ρ_k = ⊕_j B_j ⊗ I_{d_j}, as (2j, d_j, B_j) for 2j = k, k−2, ...
+
+    Draws are exchangeable, so ρ_k = Σ_c w_k(c)·[s^c] M(s)^{⊗k} with
+    M(s) = s₁ψ₁ψ₁† + s₂ψ₂ψ₂†, and by Schur–Weyl duality M^{⊗k} acts on the
+    spin-j block as Sym^{2j}(M)·det(M)^p, p = k/2 − j, det M = δ·s₁s₂ with
+    δ = |ψ₁∧ψ₂|².  Hence B_j = δ^p Σ_a w_k(a+p, 2j−a+p)·u_a u_a†, where u_a
+    is the normalised symmetric product of a copies of ψ₁ and 2j−a of ψ₂:
+    (u_a)_t = √(C(2j,a)/C(2j,t))·[Y^t] (ψ₁·(1,Y))^a (ψ₂·(1,Y))^{2j−a}, t
+    counting the z− particles of a Dicke state.  Every spec shares that
+    basis, so blocks of different specs can be subtracted.  d_j =
+    C(k,p) − C(k,p−1) and Σ_j d_j tr B_j = 1.  Holds for every k ≤ n and
+    builds no 2**k matrix.
+    """
+    _check_draws(spec, k)
+    (psi, _), *rest = spec.components
+    if len(rest) > 1:
+        raise ValueError(f"blocks need at most two components, got {len(rest) + 1}")
+    if rest:
+        chi = rest[0][0]
+        weights = [spec.draw_weight((c, k - c)) for c in range(k + 1)]
+    else:
+        # One type drawn k times.  With ψ₂ = ψ₁, δ = 0, so only the spin-k/2
+        # block is nonzero.
+        chi = psi
+        weights = [float(c == k) for c in range(k + 1)]
+    psi, chi = psi.vector, chi.vector
+    delta = abs(psi[0] * chi[1] - psi[1] * chi[0]) ** 2
+    psi_powers, chi_powers = _polynomial_powers(psi, k), _polynomial_powers(chi, k)
+    blocks = []
+    for p in range(k // 2 + 1):
+        two_j = k - 2 * p
+        binomials = np.array([comb(two_j, t) for t in range(two_j + 1)], dtype=float)
+        u = np.array([np.convolve(psi_powers[a], chi_powers[two_j - a]) for a in range(two_j + 1)])
+        u *= np.sqrt(binomials[:, None] / binomials[None, :])
+        w = delta**p * np.array(weights[p : p + two_j + 1])
+        multiplicity = comb(k, p) - (comb(k, p - 1) if p else 0)
+        blocks.append((two_j, multiplicity, (u.T * w) @ u.conj()))
+    return blocks
 
 
 # --------------------------------------------------------------------------

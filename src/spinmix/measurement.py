@@ -48,7 +48,10 @@ def trial_stream(master_seed: int, trial: int) -> np.random.Generator:
         raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
     if trial < 0:
         raise ValueError(f"block index must be nonnegative, got {trial}")
-    return np.random.Generator(np.random.Philox(key=[master_seed, trial]))
+    # A uint64 array: numpy would turn a list holding an int >= 2**63 into
+    # float64 and drop the seed's low bits.
+    key = np.array([master_seed, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def block_size(n: int) -> int:

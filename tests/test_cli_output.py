@@ -2,7 +2,9 @@
 
 The writer is checked against the per-float reference writer in helpers.py,
 and whole outputs against sha256 digests of what the earlier per-float
-writer printed for the same commands.
+writer printed for the same commands.  Trace distances of two-component
+pairs come from exchangeable blocks, which move the last bits of two
+`distinguish` outputs; the dense path still prints the earlier bytes.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import io
 import numpy as np
 import pytest
 
+import spinmix.discrimination as discrimination
 from helpers import reference_json_text
 from spinmix.cli import _json_text, _pmf_csv, main
 from spinmix.ensembles import CountPmf
@@ -91,9 +94,9 @@ GOLDEN = [
     ("urn --n 4",
      "c6fadedfe2614e4a27063138939a89bbe541dc0e8703bdd7411b818eabe379a2"),
     ("distinguish --a A --b B --n 4 --kmax 2 --axis x --trials 100000 --seed 7",
-     "eb9c5476f171c04e5584be8718a512abca66232cd1e68e3e2c37a7695e867666"),
+     "303d0d1709400d6f880a43b04fcc9a479538fcbbe394d395fd4ddd2fc8a41c8c"),
     ("distinguish --a S:z --b S:x --n 6 --kmax 3",
-     "4fc120c49cb685df3a16e9928f541f5309ad6254f43d80d3001ba22ba04579aa"),
+     "2f3845f89c198eb7191bd8c2d212573d9902ec899a94a3d6d3db2fee4ce0ca48"),
     # CSV without and with the empirical column.
     ("pmf --ensemble A --n 12 --axis 0.3,-0.2,0.9 --format csv",
      "cbd39e3642695d6e9a57beea133b95d04988c4222641cc7d2404e9fced971e80"),
@@ -114,6 +117,16 @@ GOLDEN = [
 ]
 
 
+# The same two commands with every trace distance taken from the dense
+# 2**k matrices, as all of them were before the block path.
+DENSE_GOLDEN = [
+    ("distinguish --a A --b B --n 4 --kmax 2 --axis x --trials 100000 --seed 7",
+     "eb9c5476f171c04e5584be8718a512abca66232cd1e68e3e2c37a7695e867666"),
+    ("distinguish --a S:z --b S:x --n 6 --kmax 3",
+     "4fc120c49cb685df3a16e9928f541f5309ad6254f43d80d3001ba22ba04579aa"),
+]
+
+
 @pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_output_bytes_are_pinned(command, digest):
     buf = io.StringIO()
@@ -121,3 +134,9 @@ def test_output_bytes_are_pinned(command, digest):
         code = main(command.split())
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, digest", DENSE_GOLDEN, ids=[c for c, _ in DENSE_GOLDEN])
+def test_dense_distances_keep_their_bytes(monkeypatch, command, digest):
+    monkeypatch.setattr(discrimination, "_block_distance", discrimination._dense_distance)
+    test_output_bytes_are_pinned(command, digest)

@@ -122,6 +122,18 @@ def test_iid_n_must_be_an_integer(n):
             make_urn(5, n)
 
 
+@pytest.mark.parametrize("n", ["4", None, [4]])
+def test_constructors_reject_a_non_integer_n_before_comparing_it(n):
+    for build in (balanced_fixed, balanced_mixture):
+        with pytest.raises(ValueError, match="not an integer"):
+            build(n, Z_AXIS)
+    with pytest.raises(ValueError, match="not an integer"):
+        make_urn(n)
+    if n is not None:
+        with pytest.raises(ValueError, match="not an integer"):
+            make_urn(4, n)
+
+
 def test_numpy_integer_counts_and_n_are_plain_ints():
     up, down = spinor(Z_AXIS, +1), spinor(Z_AXIS, -1)
     fixed = FixedComposition(((up, np.int64(3)), (down, np.uint8(1))))
