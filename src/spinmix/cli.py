@@ -31,7 +31,6 @@ from .ensembles import (
     make_urn,
     parse_ensemble,
     reduced_density_matrix,
-    urn_composition,
 )
 from .measurement import exact_count_pmf, monte_carlo_count_pmf, pmf_moments
 from .spin import X_AXIS, Z_AXIS, axis_basis_matrix, axis_label, parse_axis
@@ -102,7 +101,9 @@ def _parse_spec(text: str, n: int | None):
 
 def cmd_rho(args) -> str:
     spec = _parse_spec(args.ensemble, args.n)
-    rho = reduced_density_matrix(spec, args.k, cap=RHO_CAP)
+    if args.k > RHO_CAP:
+        raise ValueError(f"k = {args.k} exceeds the particle cap {RHO_CAP}")
+    rho = reduced_density_matrix(spec, args.k)
     payload = {
         "command": "rho",
         "ensemble": ensemble_literal(spec),
@@ -133,7 +134,8 @@ def _check_sampling(args) -> None:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
 
 
-def _pmf_output(args, payload: dict, spec, pmf, axis) -> str:
+def _pmf_output(args, payload: dict, spec, axis) -> str:
+    pmf = exact_count_pmf(spec, axis)
     _check_sampling(args)
     mean, variance = pmf_moments(pmf)
     empirical = None
@@ -160,7 +162,7 @@ def cmd_pmf(args) -> str:
         "n": spec.n,
         "axis": axis_label(axis),
     }
-    return _pmf_output(args, payload, spec, exact_count_pmf(spec, axis), axis)
+    return _pmf_output(args, payload, spec, axis)
 
 
 def cmd_urn(args) -> str:
@@ -171,9 +173,9 @@ def cmd_urn(args) -> str:
         "n": spec.n,
         "black": args.black,
     }
-    # Counting z+ outcomes along z is exactly counting black balls, so the
-    # empirical column comes from the measurement simulation unchanged.
-    return _pmf_output(args, payload, spec, urn_composition(spec), Z_AXIS)
+    # Counting z+ outcomes along z is exactly counting black balls, so both
+    # columns come from the count law along z.
+    return _pmf_output(args, payload, spec, Z_AXIS)
 
 
 def cmd_distinguish(args) -> str:

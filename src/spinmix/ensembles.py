@@ -1,12 +1,12 @@
 """Ensemble specifications and their exact k-particle reduced density matrices.
 
 Two preparation disciplines are distinguished, and each has one spec class
-that holds everything depending on it: the composition marginal, the
-k-particle matrix, the k-draw weight, the random type draw of a
-realization, the +1-count pmf and the literal prefix.  The public functions
-(composition_distribution, reduced_density_matrix, exchangeable_blocks,
-ensemble_literal, and measurement's exact_count_pmf and samplers) check
-their arguments and hand the rest to those methods.
+that holds everything depending on it: the k-particle matrix, the k-draw
+weight, the random type draw of a realization, the +1-count pmf and the
+literal prefix.  The public functions (composition_distribution,
+reduced_density_matrix, exchangeable_blocks, ensemble_literal, and
+measurement's exact_count_pmf and samplers) check their arguments and hand
+the rest to those methods.
 
 * :class:`FixedComposition` — a multiset of pure states with exact per-type
   counts.  Selecting particles from it is sampling without replacement.
@@ -27,8 +27,8 @@ from math import comb, prod
 
 import numpy as np
 
-from .linalg import ATOL_ALGEBRA, PARTICLE_CAP, DensityMatrix, kron_power
-from .spin import Axis, PureState, Z_AXIS, parse_axis, spinor, state_projector
+from .linalg import ATOL_ALGEBRA, ATOL_EIGEN, PARTICLE_CAP, DensityMatrix, kron_power
+from .spin import Axis, PureState, Z_AXIS, _direction_name, parse_axis, spinor, state_projector
 
 __all__ = [
     "BINOMIAL_DIRECT_MAX_N",
@@ -110,10 +110,6 @@ class FixedComposition:
                 left -= 1
         return weight
 
-    def _composition(self, i: int) -> CountPmf:
-        """Every batch holds exactly the given count: a delta."""
-        return delta_pmf(self.n, self.components[i][1])
-
     def _reduced_matrix(self, k: int) -> np.ndarray:
         """Ordered type sequences carry a falling-factorial weight.  The sum of
         weight times projector product is evaluated recursively over suffixes,
@@ -189,10 +185,6 @@ class IidMixture:
         draws holding counts[i] particles of type i, Π p_i^{c_i}."""
         return prod(p**c for (_, p), c in zip(self.components, counts, strict=True))
 
-    def _composition(self, i: int) -> CountPmf:
-        """The count fluctuates: Binomial(n, p_i)."""
-        return binomial_pmf(self.n, self.components[i][1])
-
     def _reduced_matrix(self, k: int) -> np.ndarray:
         """Selections are i.i.d.: the k-fold Kronecker power of ρ₁ = Σ p·P."""
         rho1 = np.zeros((2, 2), dtype=complex)
@@ -253,17 +245,15 @@ def make_urn(n: int, n_black: int | None = None) -> EnsembleSpec:
     mixing).  Without it, every ball is black or white with probability ½
     (random mixing).
     """
+    if n_black is None:
+        return balanced_mixture(n, Z_AXIS)
     n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    black = spinor(Z_AXIS, +1)
-    white = spinor(Z_AXIS, -1)
-    if n_black is None:
-        return IidMixture(((black, 0.5), (white, 0.5)), n)
     n_black = _integer(n_black, "n_black")
     if not 0 <= n_black <= n:
         raise ValueError(f"n_black {n_black} outside 0..{n}")
-    return FixedComposition(((black, n_black), (white, n - n_black)))
+    return FixedComposition(((spinor(Z_AXIS, +1), n_black), (spinor(Z_AXIS, -1), n - n_black)))
 
 
 # --------------------------------------------------------------------------
@@ -351,11 +341,13 @@ def total_variation(p: CountPmf, q: CountPmf) -> float:
 
 
 def composition_distribution(spec: EnsembleSpec, component_index: int) -> CountPmf:
-    """Distribution of how many of the n prepared particles carry the given type."""
+    """Distribution of how many of the n prepared particles carry the given
+    type: the +1-count pmf at Born weight 1 for that type and 0 for the rest."""
     m = len(spec.components)
     if not 0 <= component_index < m:
         raise ValueError(f"component_index {component_index} outside 0..{m - 1}")
-    return spec._composition(component_index)
+    _check_count_n(spec.n)
+    return spec._count_pmf([float(i == component_index) for i in range(m)])
 
 
 def urn_composition(spec: EnsembleSpec) -> CountPmf:
@@ -368,17 +360,12 @@ def urn_composition(spec: EnsembleSpec) -> CountPmf:
 # --------------------------------------------------------------------------
 
 
-def reduced_density_matrix(
-    spec: EnsembleSpec,
-    k: int,
-    *,
-    cap: int = PARTICLE_CAP,
-) -> DensityMatrix:
+def reduced_density_matrix(spec: EnsembleSpec, k: int) -> DensityMatrix:
     """Exact state of k of the ensemble's n particles: the sum over ordered
     type sequences of the sequence weight times the tensor product of
     component projectors, in the closed form of the spec's kind."""
-    if k > cap:
-        raise ValueError(f"k = {k} exceeds the particle cap {cap}")
+    if k > PARTICLE_CAP:
+        raise ValueError(f"k = {k} exceeds the particle cap {PARTICLE_CAP}")
     _check_draws(spec, k)
     return DensityMatrix(spec._reduced_matrix(k), k)
 
@@ -412,6 +399,9 @@ def exchangeable_blocks(spec: EnsembleSpec, k: int) -> list[tuple[int, int, np.n
     basis, so blocks of different specs can be subtracted.  d_j =
     C(k,p) − C(k,p−1) and Σ_j d_j tr B_j = 1.  Holds for every k ≤ n and
     builds no 2**k matrix.
+
+    Its polynomial coefficients cancel at large k (A loses accuracy from
+    about n = k = 240), so a trace defect above ATOL_EIGEN raises RuntimeError.
     """
     _check_draws(spec, k)
     (psi, _), *rest = spec.components
@@ -437,6 +427,9 @@ def exchangeable_blocks(spec: EnsembleSpec, k: int) -> list[tuple[int, int, np.n
         w = delta**p * np.array(weights[p : p + two_j + 1])
         multiplicity = comb(k, p) - (comb(k, p - 1) if p else 0)
         blocks.append((two_j, multiplicity, (u.T * w) @ u.conj()))
+    defect = sum(d * b.trace().real for _, d, b in blocks) - 1.0
+    if not abs(defect) <= ATOL_EIGEN:
+        raise RuntimeError(f"blocks lost accuracy at k = {k}: trace defect {defect:.3e}")
     return blocks
 
 
@@ -505,13 +498,11 @@ def parse_ensemble(text: str, n: int | None = None) -> EnsembleSpec:
 
 
 def _entry_label(state: PureState) -> str:
-    bx, by, bz = state.bloch()
-    for name, ax in (("x", (1, 0, 0)), ("y", (0, 1, 0)), ("z", (0, 0, 1))):
-        if abs(bx - ax[0]) < 1e-9 and abs(by - ax[1]) < 1e-9 and abs(bz - ax[2]) < 1e-9:
-            return f"{name}+"
-        if abs(bx + ax[0]) < 1e-9 and abs(by + ax[1]) < 1e-9 and abs(bz + ax[2]) < 1e-9:
-            return f"{name}-"
-    axis = Axis.from_vector(bx, by, bz)
+    bloch = state.bloch()
+    name = _direction_name(*bloch)
+    if name is not None:
+        return name
+    axis = Axis.from_vector(*bloch)
     return f"({axis.ux!r},{axis.uy!r},{axis.uz!r})+"
 
 

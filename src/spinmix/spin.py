@@ -18,10 +18,6 @@ from .linalg import ATOL_ALGEBRA, DensityMatrix, kron_power
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
-# Amplitudes smaller than this count as zero when fixing the global phase.
-_PHASE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,15 +73,23 @@ def parse_axis(text: str) -> Axis:
     return Axis.from_vector(ux, uy, uz)
 
 
+def _direction_name(ux: float, uy: float, uz: float) -> str | None:
+    """"x+", "x-", "y+", ... "z-" when the unit vector lies within
+    ATOL_ALGEBRA of that signed coordinate axis in every component, else None."""
+    for name, (along, a, b) in (("x", (ux, uy, uz)), ("y", (uy, ux, uz)), ("z", (uz, ux, uy))):
+        if abs(a) <= ATOL_ALGEBRA and abs(b) <= ATOL_ALGEBRA:
+            if abs(along - 1.0) <= ATOL_ALGEBRA:
+                return name + "+"
+            if abs(along + 1.0) <= ATOL_ALGEBRA:
+                return name + "-"
+    return None
+
+
 def axis_label(axis: Axis) -> str:
     """Short text form: the letter for a coordinate axis, else the triple."""
-    for name, ax in _NAMED_AXES.items():
-        if (
-            abs(axis.ux - ax.ux) <= ATOL_ALGEBRA
-            and abs(axis.uy - ax.uy) <= ATOL_ALGEBRA
-            and abs(axis.uz - ax.uz) <= ATOL_ALGEBRA
-        ):
-            return name
+    name = _direction_name(axis.ux, axis.uy, axis.uz)
+    if name is not None and name[1] == "+":
+        return name[0]
     return f"{axis.ux!r},{axis.uy!r},{axis.uz!r}"
 
 
@@ -117,7 +121,7 @@ class PureState:
 
 def _fix_phase(a0: complex, a1: complex) -> tuple[complex, complex]:
     for lead in (a0, a1):
-        if abs(lead) > _PHASE_EPS:
+        if abs(lead) > ATOL_ALGEBRA:
             phase = lead.conjugate() / abs(lead)
             return (a0 * phase, a1 * phase)
     raise ValueError("zero state has no phase convention")

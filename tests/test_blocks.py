@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from spinmix import (
+    X_AXIS,
     Z_AXIS,
     balanced_fixed,
     block_trace_distance,
@@ -121,3 +122,12 @@ def test_blocks_reject_three_components_and_too_many_draws():
         exchangeable_blocks(preset_ensemble("S", 4), 5)
     with pytest.raises(ValueError, match="k must be >= 1"):
         exchangeable_blocks(preset_ensemble("S", 4), 0)
+
+
+def test_blocks_that_lost_their_trace_raise():
+    # The polynomial coefficients cancel at large k: for A at n = k the
+    # trace defect is 7e-13 at 200 and 3.7e-6 at 280.
+    blocks = exchangeable_blocks(balanced_fixed(200, X_AXIS), 200)
+    assert abs(sum(d * np.trace(b).real for _, d, b in blocks) - 1.0) <= 1e-10
+    with pytest.raises(RuntimeError, match="lost accuracy at k = 280"):
+        exchangeable_blocks(balanced_fixed(280, X_AXIS), 280)

@@ -247,6 +247,17 @@ def test_rho_caps_k_before_building_a_matrix(capsys, monkeypatch):
         assert err == f"error: k = {k} exceeds the particle cap {RHO_CAP}\n"
 
 
+def test_a_literal_near_an_axis_prints_its_own_direction(capsys):
+    code, out, err = run_cli(capsys, "pmf", "--ensemble", "fixed:(1e-10,0,1)+*2/x-*2",
+                             "--axis", "x")
+    assert code == 0 and err == ""
+    assert json.loads(out)["ensemble"] == "fixed:(1e-10,0.0,1.0)+*2/x-*2"
+    # Within 1e-12 of an axis, the entry takes the axis's name.
+    code, out, err = run_cli(capsys, "pmf", "--ensemble", "fixed:(1e-13,0,1)+*2/x-*2",
+                             "--axis", "x")
+    assert code == 0 and json.loads(out)["ensemble"] == "fixed:z+*2/x-*2"
+
+
 def test_fixed_literal_takes_n_from_its_counts(capsys):
     code, out, err = run_cli(capsys, "rho", "--ensemble", "fixed:x+*2/x-*2")
     assert code == 0 and err == ""

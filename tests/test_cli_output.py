@@ -97,6 +97,12 @@ GOLDEN = [
      "303d0d1709400d6f880a43b04fcc9a479538fcbbe394d395fd4ddd2fc8a41c8c"),
     ("distinguish --a S:z --b S:x --n 6 --kmax 3",
      "2f3845f89c198eb7191bd8c2d212573d9902ec899a94a3d6d3db2fee4ce0ca48"),
+    # Urns with an empirical column, pinned before both columns came from
+    # the count law along z.
+    ("urn --n 7 --black 3 --trials 500 --seed 3 --format csv",
+     "46be5d8134ba875213e5534a520ecf2661e921c0dc5e7fbeff5d5e2d744ab529"),
+    ("urn --n 9 --trials 500 --seed 3",
+     "0f510abe4787c21ead63f774c4b908d74a85ccc308bae642976fc780d82e0eea"),
     # CSV without and with the empirical column.
     ("pmf --ensemble A --n 12 --axis 0.3,-0.2,0.9 --format csv",
      "cbd39e3642695d6e9a57beea133b95d04988c4222641cc7d2404e9fced971e80"),

@@ -15,6 +15,8 @@ from helpers import (
     swap_slots,
 )
 from spinmix import (
+    COUNT_N_CAP,
+    PARTICLE_CAP,
     Axis,
     CountPmf,
     FixedComposition,
@@ -290,6 +292,21 @@ def test_reduced_matrix_range_errors():
         reduced_density_matrix(spec, 5)  # k > n for a fixed composition
     with pytest.raises(ValueError):
         reduced_density_matrix(balanced_mixture(20, Z_AXIS), 13)  # over the cap
+
+
+def test_reduced_matrix_checks_the_particle_cap_before_building(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr("spinmix.ensembles.state_projector", fail)
+    with pytest.raises(ValueError, match=f"k = 13 exceeds the particle cap {PARTICLE_CAP}"):
+        reduced_density_matrix(balanced_fixed(40, X_AXIS), PARTICLE_CAP + 1)
+
+
+def test_composition_rejects_n_above_the_count_cap():
+    spec = FixedComposition(((spinor(Z_AXIS, +1), COUNT_N_CAP), (spinor(Z_AXIS, -1), 1)))
+    with pytest.raises(ValueError, match="exceeds the count cap"):
+        composition_distribution(spec, 0)
 
 
 def test_mixture_reduced_matrix_takes_at_most_n_particles():

@@ -1,7 +1,8 @@
 """Property tests over random m-component specs of both kinds.
 
-Each spec kind carries its own law: reduced matrices, count pmfs and
-composition marginals.  These properties pin those laws on random specs
+Each spec kind carries its own law: reduced matrices and count pmfs; the
+composition marginal is the count pmf at indicator Born weights.  These
+properties pin those laws on random specs
 (1-4 components, n <= 8, k <= 4) against raw-numpy oracles and against each
 other, beyond the presets the other tests use.
 """
@@ -17,7 +18,9 @@ from spinmix import (
     Z_AXIS,
     FixedComposition,
     IidMixture,
+    binomial_pmf,
     composition_distribution,
+    delta_pmf,
     ensemble_literal,
     exact_count_pmf,
     parse_ensemble,
@@ -125,16 +128,24 @@ def test_composition_mean_is_the_count_or_n_times_the_probability(spec):
 
 @given(specs)
 @settings(max_examples=EXAMPLES)
+def test_composition_is_a_delta_or_a_binomial_bit_for_bit(spec):
+    for i, (_, value) in enumerate(spec.components):
+        expected = (delta_pmf(spec.n, value) if isinstance(spec, FixedComposition)
+                    else binomial_pmf(spec.n, value))
+        got = composition_distribution(spec, i).probabilities
+        assert got.tobytes() == expected.probabilities.tobytes()
+
+
+@given(specs)
+@settings(max_examples=EXAMPLES)
 def test_literal_round_trips(spec):
     literal = ensemble_literal(spec)
     back = parse_ensemble(literal, spec.n)
     assert type(back) is type(spec) and back.n == spec.n
     assert [v for _, v in back.components] == [v for _, v in spec.components]
-    entries = literal.partition(":")[2].split("/")
-    for entry, (s, _), (t, _) in zip(entries, spec.components, back.components):
-        # A state within 1e-9 of ±x, ±y or ±z is labelled by that axis's name.
-        tolerance = 1e-12 if entry.startswith("(") else 1e-9
-        assert np.abs(bloch(s) - bloch(t)).max() <= tolerance
+    for (s, _), (t, _) in zip(spec.components, back.components):
+        # A state is labelled ±x, ±y or ±z only within 1e-12 of that axis.
+        assert np.abs(bloch(s) - bloch(t)).max() <= 1e-12
 
 
 @given(fixed_specs(), unit_axes())
