@@ -6,7 +6,8 @@ both the fixed x composition and the i.i.d. mixture reproduce the binomial
 count law — the pmf of the mixture and of the x composition agree exactly
 along z, so no count experiment along that axis separates them.  Optionally
 validates each exact pmf and the pairwise discrimination rates by Monte
-Carlo with a fixed seed.
+Carlo with a fixed seed.  The pairwise figures come from `build_report`,
+as those of `spinmix distinguish` do.
 """
 
 import argparse
@@ -14,10 +15,9 @@ import argparse
 from spinmix import (
     X_AXIS,
     Z_AXIS,
-    bayes_success_from_counts,
+    build_report,
     exact_count_pmf,
     monte_carlo_count_pmf,
-    monte_carlo_discrimination,
     pmf_moments,
     preset_ensemble,
     total_variation,
@@ -47,19 +47,15 @@ def main() -> None:
     print("pairwise count discrimination (equal priors)")
     print(f"{'pair':>9} {'axis':>5} {'TV':>9} {'bayes':>9}"
           + ("   monte carlo" if args.trials else ""))
-    pairs = (("A", "B"), ("A", "S"), ("B", "S"))
-    for left, right in pairs:
-        for label, axis in AXES:
-            tv = total_variation(
-                exact_count_pmf(specs[left], axis), exact_count_pmf(specs[right], axis)
-            )
-            bayes = bayes_success_from_counts(specs[left], specs[right], axis)
-            line = f"{left + '/' + right:>9} {label:>5} {tv:>9.4f} {bayes:>9.4f}"
+    for left, right in (("A", "B"), ("A", "S"), ("B", "S")):
+        report = build_report(specs[left], specs[right], k_max=1, axes=[X_AXIS, Z_AXIS],
+                              trials=args.trials, master_seed=args.seed)
+        for label, figures in report["axes"].items():
+            line = (f"{left + '/' + right:>9} {label:>5} {figures['tv_distance']:>9.4f}"
+                    f" {figures['bayes_success']:>9.4f}")
             if args.trials:
-                est = monte_carlo_discrimination(
-                    specs[left], specs[right], axis, args.trials, args.seed
-                )
-                line += f"   {est.value:.4f} +/- {est.stderr:.4f}"
+                mc = figures["monte_carlo"]
+                line += f"   {mc['success']:.4f} +/- {mc['stderr']:.4f}"
             print(line)
 
     if args.trials:

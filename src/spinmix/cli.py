@@ -195,30 +195,7 @@ def cmd_distinguish(args) -> str:
         master_seed=args.seed,
         workers=args.workers,
     )
-    axes_payload = {}
-    for fig in report.per_axis:
-        entry = {
-            "tv_distance": fig.tv_distance,
-            "bayes_success": fig.bayes_success,
-        }
-        if fig.monte_carlo is not None:
-            entry["monte_carlo"] = {
-                "success": fig.monte_carlo.value,
-                "stderr": fig.monte_carlo.stderr,
-                "trials": fig.monte_carlo.trials,
-            }
-        axes_payload[axis_label(fig.axis)] = entry
-    payload = {
-        "command": "distinguish",
-        "pair": list(report.pair),
-        "ensembles": [ensemble_literal(a), ensemble_literal(b)],
-        "n": report.n,
-        "trace_distances": [{"k": k, "distance": d} for k, d in report.trace_distances],
-        "axes": axes_payload,
-    }
-    if args.trials > 0:
-        payload["seed"] = args.seed
-    return _json_text(payload) + "\n"
+    return _json_text({"command": "distinguish", **report}) + "\n"
 
 
 def _add_sampling(sub) -> None:

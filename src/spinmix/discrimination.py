@@ -3,7 +3,8 @@
 Two complementary views: trace distances between the exact k-particle
 reduced states, and the success probability of the Bayes-optimal
 equal-prior guesser that sees only the +1-outcome count along one axis,
-with a Monte Carlo estimate of the latter for validation.
+with a Monte Carlo estimate of the latter for validation.  `build_report`
+puts both side by side as the payload that `spinmix distinguish` prints.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .ensembles import (
 )
 from .linalg import PARTICLE_CAP, block_trace_distance, trace_distance
 from .measurement import born_weights, exact_count_pmf, measure_block, run_blocks
-from .spin import Axis
+from .spin import Axis, axis_label
 
 
 @dataclass(frozen=True)
@@ -32,24 +33,6 @@ class MonteCarloEstimate:
     value: float
     stderr: float
     trials: int
-
-
-@dataclass(frozen=True)
-class AxisFigures:
-    """Count-statistic discrimination figures for one measurement axis."""
-
-    axis: Axis
-    tv_distance: float
-    bayes_success: float
-    monte_carlo: MonteCarloEstimate | None
-
-
-@dataclass(frozen=True)
-class DistinguishabilityReport:
-    pair: tuple[str, str]
-    n: int
-    trace_distances: tuple[tuple[int, float], ...]
-    per_axis: tuple[AxisFigures, ...]
 
 
 def pairwise_trace_distances(
@@ -83,11 +66,17 @@ def _dense_distance(a: EnsembleSpec, b: EnsembleSpec, k: int) -> float:
 def bayes_success_from_counts(a: EnsembleSpec, b: EnsembleSpec, axis: Axis) -> float:
     """Best equal-prior guessing probability from the exact count pmfs:
     ½ Σ max(p_a(m), p_b(m)), i.e. ½(1 + TV)."""
+    return _count_figures(a, b, axis)[1]
+
+
+def _count_figures(a: EnsembleSpec, b: EnsembleSpec, axis: Axis) -> tuple[float, float]:
+    """TV distance and Bayes success of the counts along `axis`, from one
+    pair of exact pmfs."""
     if a.n != b.n:
         raise ValueError(f"ensembles differ in n: {a.n} vs {b.n}")
-    pa = exact_count_pmf(a, axis).probabilities
-    pb = exact_count_pmf(b, axis).probabilities
-    return 0.5 * float(np.maximum(pa, pb).sum())
+    pa, pb = exact_count_pmf(a, axis), exact_count_pmf(b, axis)
+    bayes = 0.5 * float(np.maximum(pa.probabilities, pb.probabilities).sum())
+    return total_variation(pa, pb), bayes
 
 
 def monte_carlo_discrimination(
@@ -134,17 +123,25 @@ def build_report(
     trials: int = 0,
     master_seed: int = 0,
     workers: int = 1,
-) -> DistinguishabilityReport:
-    """Full report: per-k trace distances plus per-axis count figures."""
-    if labels is None:
-        labels = (ensemble_literal(a), ensemble_literal(b))
-    distances = tuple(pairwise_trace_distances(a, b, k_max))
-    figures = []
-    for axis in axes:
-        tv = total_variation(exact_count_pmf(a, axis), exact_count_pmf(b, axis))
-        bayes = bayes_success_from_counts(a, b, axis)
-        mc = None
+) -> dict:
+    """The `distinguish` payload: per-k trace distances, then the count
+    figures of each axis, keyed by its label.  Axes with one label share one
+    entry, at the first one's place, computed once from the last one."""
+    ensembles = [ensemble_literal(a), ensemble_literal(b)]
+    report = {
+        "pair": list(labels or ensembles),
+        "ensembles": ensembles,
+        "n": a.n,
+        "trace_distances": [{"k": k, "distance": d}
+                            for k, d in pairwise_trace_distances(a, b, k_max)],
+        "axes": {},
+    }
+    for label, axis in {axis_label(axis): axis for axis in axes}.items():
+        tv, bayes = _count_figures(a, b, axis)
+        entry = report["axes"][label] = {"tv_distance": tv, "bayes_success": bayes}
         if trials > 0:
             mc = monte_carlo_discrimination(a, b, axis, trials, master_seed, workers=workers)
-        figures.append(AxisFigures(axis, tv, bayes, mc))
-    return DistinguishabilityReport(labels, a.n, distances, tuple(figures))
+            entry["monte_carlo"] = {"success": mc.value, "stderr": mc.stderr, "trials": mc.trials}
+    if trials > 0:
+        report["seed"] = master_seed
+    return report

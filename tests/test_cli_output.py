@@ -120,6 +120,15 @@ GOLDEN = [
      "bd2804aa243d3f9608f46135ede6f235105bb583829296f74c2b8ed39a9dbcf5"),
     ("pmf --ensemble fixed:x+*300/(0.3,-0.2,0.9)-*400/z+*300 --n 1000 --axis y",
      "2484085fdfa3e96869720956261507db9a193439f30b8814857b0832139bab5d"),
+    # Pinned while `distinguish` still built its payload from report
+    # dataclasses: a 3-component pair (dense path) with an oblique axis and
+    # trials, and one axis given three ways, which prints one entry.
+    ("distinguish --a fixed:x+*4/z-*4/(0.6,0,0.8)+*4"
+     " --b iid:x+*0.3333333333333333/z-*0.3333333333333333/(0.6,0,0.8)+*0.3333333333333334"
+     " --n 12 --kmax 3 --axis=x --axis=0.3,-0.5,0.7 --trials 2000 --seed 5",
+     "4757d59001b160d6fdc82a488e1db61e89cf2924f537627ffc5d744444fee7ec"),
+    ("distinguish --a A --b S --n 6 --kmax 2 --axis x --axis x --axis 2,0,0",
+     "46a7c6ae3e854c2dbe9100c683f8079b6186f0f2aa7abb283b24c59141ea6f68"),
 ]
 
 

@@ -1,6 +1,11 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
+import spinmix.discrimination as discrimination
 import spinmix.measurement as measurement
 from spinmix import (
     X_AXIS,
@@ -16,6 +21,7 @@ from spinmix import (
     reduced_density_matrix,
     trace_distance,
 )
+from spinmix.cli import main
 
 
 def test_one_particle_distance_vanishes_for_fixed_pair():
@@ -141,18 +147,22 @@ def test_report_structure():
     report = build_report(
         a, b, labels=("A", "B"), k_max=2, axes=[X_AXIS, Z_AXIS], trials=2000, master_seed=7
     )
-    assert report.pair == ("A", "B")
-    assert report.n == 4
-    assert report.trace_distances[0][1] <= 1e-12
-    assert report.trace_distances[1][1] == pytest.approx(1 / 6, abs=1e-10)
-    for figures in report.per_axis:
-        assert 0.0 <= figures.tv_distance <= 1.0
-        assert 0.5 <= figures.bayes_success <= 1.0
-        assert figures.bayes_success == pytest.approx(0.5 * (1.0 + figures.tv_distance), abs=1e-12)
-        assert figures.monte_carlo is not None
-        assert abs(figures.monte_carlo.value - figures.bayes_success) <= 4.0 * max(
-            figures.monte_carlo.stderr, 1e-3
-        )
+    assert list(report) == ["pair", "ensembles", "n", "trace_distances", "axes", "seed"]
+    assert report["pair"] == ["A", "B"]
+    assert report["n"] == 4
+    assert report["seed"] == 7
+    assert [entry["k"] for entry in report["trace_distances"]] == [1, 2]
+    assert report["trace_distances"][0]["distance"] <= 1e-12
+    assert report["trace_distances"][1]["distance"] == pytest.approx(1 / 6, abs=1e-10)
+    assert list(report["axes"]) == ["x", "z"]
+    for figures in report["axes"].values():
+        assert 0.0 <= figures["tv_distance"] <= 1.0
+        assert 0.5 <= figures["bayes_success"] <= 1.0
+        assert figures["bayes_success"] == pytest.approx(
+            0.5 * (1.0 + figures["tv_distance"]), abs=1e-12)
+        mc = figures["monte_carlo"]
+        assert mc["trials"] == 2000
+        assert abs(mc["success"] - figures["bayes_success"]) <= 4.0 * max(mc["stderr"], 1e-3)
 
 
 def test_report_without_trials_has_no_monte_carlo():
@@ -162,7 +172,8 @@ def test_report_without_trials_has_no_monte_carlo():
         k_max=1,
         axes=[Z_AXIS],
     )
-    assert report.per_axis[0].monte_carlo is None
+    assert "seed" not in report
+    assert report["axes"]["z"].keys() == {"tv_distance", "bayes_success"}
 
 
 def test_every_figure_is_at_chance_for_rotated_mixtures():
@@ -171,9 +182,33 @@ def test_every_figure_is_at_chance_for_rotated_mixtures():
     report = build_report(
         sz, sx, k_max=3, axes=[X_AXIS, Z_AXIS], trials=5000, master_seed=19
     )
-    for _, d in report.trace_distances:
-        assert d <= 1e-12
-    for figures in report.per_axis:
-        assert figures.tv_distance <= 1e-12
-        assert figures.bayes_success == pytest.approx(0.5, abs=1e-12)
-        assert abs(figures.monte_carlo.value - 0.5) <= 3.0 * figures.monte_carlo.stderr
+    for entry in report["trace_distances"]:
+        assert entry["distance"] <= 1e-12
+    for figures in report["axes"].values():
+        assert figures["tv_distance"] <= 1e-12
+        assert figures["bayes_success"] == pytest.approx(0.5, abs=1e-12)
+        mc = figures["monte_carlo"]
+        assert abs(mc["success"] - 0.5) <= 3.0 * mc["stderr"]
+
+
+@pytest.mark.parametrize("flags, calls, labels", [
+    (["--axis=x", "--axis=z"], 4, ["x", "z"]),
+    (["--axis=x", "--axis=x", "--axis=2,0,0"], 2, ["x"]),
+    (["--axis=x", "--axis=z", "--trials=10"], 8, ["x", "z"]),
+])
+def test_each_axis_pays_its_count_pmfs_once(monkeypatch, flags, calls, labels):
+    # TV and Bayes success of an axis come from one pair of exact pmfs, and
+    # three spellings of x print (and compute) one entry; Monte Carlo takes
+    # its own pair per axis.
+    seen = []
+
+    def counting(spec, axis):
+        seen.append(axis)
+        return measurement.exact_count_pmf(spec, axis)
+
+    monkeypatch.setattr(discrimination, "exact_count_pmf", counting)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["distinguish", "--a", "A", "--b", "S", "--n", "6", "--kmax", "2", *flags]) == 0
+    assert len(seen) == calls
+    assert list(json.loads(out.getvalue())["axes"]) == labels

@@ -6,6 +6,7 @@ arguments.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -59,3 +60,6 @@ def test_count_contrast_runs_with_monte_carlo():
     out = run_script("count_contrast.py", "--n", "6", "--trials", "200", "--seed", "1")
     assert out.startswith("exact count moments at n=6\n")
     assert "empirical-vs-exact pmf total variation (200 trials)" in out
+    # The output of the script before its pair table came from build_report.
+    digest = "8f427fa45c8cd1479ed064840f2a646822ec8bcc9ae63a0c7414f6152477eb0c"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

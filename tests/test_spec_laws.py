@@ -4,7 +4,9 @@ Each spec kind carries its own law: reduced matrices and count pmfs; the
 composition marginal is the count pmf at indicator Born weights.  These
 properties pin those laws on random specs
 (1-4 components, n <= 8, k <= 4) against raw-numpy oracles and against each
-other, beyond the presets the other tests use.
+other, beyond the presets the other tests use.  Two more reach further: pmf
+moments at n between 1030 and 2·10⁴, and the bridge from the count figures
+of `build_report` to the trace distances of the full n-particle states.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from spinmix import (
     FixedComposition,
     IidMixture,
     binomial_pmf,
+    build_report,
     composition_distribution,
     delta_pmf,
     ensemble_literal,
@@ -39,8 +42,8 @@ def bloch(state) -> np.ndarray:
 
 
 @st.composite
-def distinct_states(draw) -> list:
-    states = draw(st.lists(pure_states(), min_size=1, max_size=4))
+def distinct_states(draw, max_size: int = 4) -> list:
+    states = draw(st.lists(pure_states(), min_size=1, max_size=max_size))
     vectors = [bloch(s) for s in states]
     assume(all(np.abs(vectors[i] - vectors[j]).max() > 1e-3
                for i in range(len(vectors)) for j in range(i)))
@@ -66,6 +69,31 @@ def iid_specs(draw) -> IidMixture:
 
 
 specs = st.one_of(fixed_specs(), iid_specs())
+
+
+@st.composite
+def specs_of_size(draw, n: int, max_components: int):
+    """A spec of either kind with exactly n particles and at most
+    `max_components` entries."""
+    states = draw(distinct_states(max_components))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=len(states) - 1,
+                                    max_size=len(states) - 1)))
+        counts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, n])]
+        return FixedComposition(tuple(zip(states, counts)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(states), max_size=len(states)))
+    total = sum(weights)
+    assume(total > 0.01)
+    return IidMixture(tuple(zip(states, (w / total for w in weights))), n)
+
+
+@st.composite
+def spec_pairs(draw) -> tuple:
+    """Two specs on one n: up to two entries each with n <= 8 (the block
+    path), or up to three with n <= 5 (the dense path when one has three)."""
+    max_components = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 8 if max_components == 2 else 5))
+    return draw(specs_of_size(n, max_components)), draw(specs_of_size(n, max_components))
 
 
 def weights(spec) -> np.ndarray:
@@ -102,9 +130,9 @@ def test_tracing_out_a_particle_gives_the_smaller_reduced_state(spec):
         previous = current
 
 
-@given(specs, unit_axes())
-@settings(max_examples=EXAMPLES)
-def test_count_pmf_moments_follow_the_spec_law(spec, axis):
+def check_count_pmf_moments(spec, axis, atol: float) -> None:
+    """The pmf sums to 1, with mean Σ c_i q_i and variance Σ c_i q_i (1 - q_i)
+    for a fixed composition, n q̄ and n q̄ (1 - q̄) for a mixture."""
     pmf = exact_count_pmf(spec, axis)
     q = plus_weights(spec, axis)
     if isinstance(spec, FixedComposition):
@@ -115,7 +143,37 @@ def test_count_pmf_moments_follow_the_spec_law(spec, axis):
         mean, variance = spec.n * q_bar, spec.n * q_bar * (1.0 - q_bar)
     assert abs(pmf.probabilities.sum() - 1.0) <= 1e-12
     got_mean, got_variance = pmf_moments(pmf)
-    assert abs(got_mean - mean) <= 1e-9 and abs(got_variance - variance) <= 1e-9
+    assert abs(got_mean - mean) <= atol and abs(got_variance - variance) <= atol
+
+
+@given(specs, unit_axes())
+@settings(max_examples=EXAMPLES)
+def test_count_pmf_moments_follow_the_spec_law(spec, axis):
+    check_count_pmf_moments(spec, axis, 1e-9)
+
+
+@given(st.integers(1030, 2 * 10**4).flatmap(lambda n: specs_of_size(n, 3)), unit_axes())
+@settings(max_examples=10)
+def test_large_n_count_pmf_moments_follow_the_spec_law(spec, axis):
+    # Past n = 1029 binomials come from the ratio recurrence, and a fixed
+    # composition convolves one per entry.
+    check_count_pmf_moments(spec, axis, 1e-9 * spec.n)
+
+
+@given(spec_pairs(), unit_axes())
+@settings(max_examples=EXAMPLES)
+def test_count_figures_never_beat_the_full_state_distance(pair, axis):
+    # The count is a measurement on the n-particle state, so its TV is at
+    # most T_n; tracing out a particle never increases T_k.
+    a, b = pair
+    report = build_report(a, b, k_max=a.n, axes=[X_AXIS, Y_AXIS, Z_AXIS, axis])
+    distances = [entry["distance"] for entry in report["trace_distances"]]
+    assert [entry["k"] for entry in report["trace_distances"]] == list(range(1, a.n + 1))
+    assert all(0.0 <= d <= 1.0 for d in distances)
+    assert all(later >= earlier - 1e-12 for earlier, later in zip(distances, distances[1:]))
+    for figures in report["axes"].values():
+        assert figures["tv_distance"] <= distances[-1] + 1e-12
+        assert abs(figures["bayes_success"] - 0.5 * (1.0 + figures["tv_distance"])) <= 1e-12
 
 
 @given(specs)
